@@ -47,7 +47,7 @@ inline std::vector<double> lambda_grid(const util::CliFlags& flags) {
   for (const std::string& field : util::split(flags.get_string("lambdas"), ',')) {
     const auto value = util::parse_double(field);
     util::require(value.has_value() && *value > 0.0,
-                  "--lambdas must be positive numbers, got '" + field + "'");
+                  [&] { return "--lambdas must be positive numbers, got '" + field + "'"; });
     grid.push_back(*value);
   }
   util::require(!grid.empty(), "--lambdas must not be empty");

@@ -61,7 +61,8 @@ std::vector<net::NodeId> parse_nodes(const std::string& text, const char* what) 
   std::vector<net::NodeId> nodes;
   for (const std::string& field : util::split(text, ',')) {
     const auto value = util::parse_unsigned(field);
-    util::require(value.has_value(), std::string(what) + " must be a comma list of node ids");
+    util::require(value.has_value(),
+                  [&] { return std::string(what) + " must be a comma list of node ids"; });
     nodes.push_back(static_cast<net::NodeId>(*value));
   }
   return nodes;
@@ -72,10 +73,12 @@ std::vector<double> parse_probabilities(const std::string& text, const char* wha
   for (const std::string& field : util::split(text, ',')) {
     const auto value = util::parse_double(field);
     util::require(value.has_value() && *value >= 0.0 && *value <= 1.0,
-                  std::string(what) + " must be a comma list of probabilities in [0,1]");
+                  [&] {
+                    return std::string(what) + " must be a comma list of probabilities in [0,1]";
+                  });
     values.push_back(*value);
   }
-  util::require(!values.empty(), std::string(what) + " must not be empty");
+  util::require(!values.empty(), [&] { return std::string(what) + " must not be empty"; });
   return values;
 }
 
@@ -84,10 +87,12 @@ std::vector<double> parse_rates(const std::string& text, const char* what) {
   for (const std::string& field : util::split(text, ',')) {
     const auto value = util::parse_double(field);
     util::require(value.has_value() && *value >= 0.0,
-                  std::string(what) + " must be a comma list of non-negative rates");
+                  [&] {
+                    return std::string(what) + " must be a comma list of non-negative rates";
+                  });
     values.push_back(*value);
   }
-  util::require(!values.empty(), std::string(what) + " must not be empty");
+  util::require(!values.empty(), [&] { return std::string(what) + " must not be empty"; });
   return values;
 }
 
@@ -122,9 +127,7 @@ struct CellVerdict {
   }
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags("chaossim",
                        "Chaos matrix for the resilient signaling plane (CI gate)");
   flags.add_string("scenario", "",
@@ -599,4 +602,19 @@ int main(int argc, char** argv) {
               << " requests served across the matrix\n";
   }
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Invalid input (an unknown flag, a bad flag value, an unreadable file)
+  // surfaces as std::invalid_argument: report it and exit 2 instead of
+  // aborting. Invariant violations still propagate and abort loudly.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "chaossim: " << error.what() << "\n"
+              << "usage: chaossim [--flag=value ...]  (--help lists the flags)\n";
+    return 2;
+  }
 }

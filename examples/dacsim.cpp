@@ -43,7 +43,8 @@ std::vector<net::NodeId> parse_nodes(const std::string& text, const char* what) 
   std::vector<net::NodeId> nodes;
   for (const std::string& field : util::split(text, ',')) {
     const auto value = util::parse_unsigned(field);
-    util::require(value.has_value(), std::string(what) + " must be a comma list of node ids");
+    util::require(value.has_value(),
+                  [&] { return std::string(what) + " must be a comma list of node ids"; });
     nodes.push_back(static_cast<net::NodeId>(*value));
   }
   return nodes;
@@ -82,9 +83,7 @@ net::Topology build_topology(const std::string& spec, const std::string& file) {
   util::unreachable("build_topology");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags("dacsim", "Configurable DAC anycast-flow simulation");
   flags.add_string("scenario", "",
                    "run this scenario file (sim/scenario.h); replaces the workload/system/"
@@ -600,4 +599,19 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Invalid input (an unknown flag, a bad flag value, an unreadable file)
+  // surfaces as std::invalid_argument: report it and exit 2 instead of
+  // aborting. Invariant violations still propagate and abort loudly.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "dacsim: " << error.what() << "\n"
+              << "usage: dacsim [--flag=value ...]  (--help lists the flags)\n";
+    return 2;
+  }
 }

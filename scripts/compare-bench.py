@@ -44,8 +44,15 @@ def load_record(path):
     return record
 
 
+# google-benchmark time_unit values, in seconds.
+UNIT_SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+
+
 def microbench_times(record):
-    """name -> real_time (ns) for plain benchmarks (skip aggregates).
+    """name -> (real_time, time_unit) for plain benchmarks (skip aggregates).
+
+    real_time is in the benchmark's own time_unit (ns unless the benchmark
+    set another, e.g. BM_SimulatedSecond reports ms).
 
     A name may appear several times when run-bench.sh measured it with
     --benchmark_repetitions (it does for the attached-overhead gate pair);
@@ -54,14 +61,27 @@ def microbench_times(record):
     couple of preempted repetitions cannot flip a ratio check.
     """
     samples = {}
+    units = {}
     benches = record.get("microbench", {}).get("benchmarks")
     if not isinstance(benches, list):
         raise ValueError("record has no microbench.benchmarks list")
     for bench in benches:
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        samples.setdefault(bench["name"], []).append(float(bench["real_time"]))
-    return {name: min(values) for name, values in samples.items()}
+        name = bench["name"]
+        unit = bench.get("time_unit", "ns")
+        if unit not in UNIT_SECONDS:
+            raise ValueError(f"{name}: unknown time_unit {unit!r}")
+        first_unit = units.setdefault(name, unit)
+        value = float(bench["real_time"]) * UNIT_SECONDS[unit] / UNIT_SECONDS[first_unit]
+        samples.setdefault(name, []).append(value)
+    return {name: (min(values), units[name]) for name, values in samples.items()}
+
+
+def in_unit(time, unit):
+    """Converts a (value, unit) pair from microbench_times() to `unit`."""
+    value, own_unit = time
+    return value * UNIT_SECONDS[own_unit] / UNIT_SECONDS[unit]
 
 
 def main():
@@ -123,9 +143,10 @@ def main():
             print(f"microbench {name}: missing from current run")
             regressions.append(f"{name} missing from current run")
             continue
-        delta = (cur_times[name] - base_times[name]) / base_times[name]
-        print(f"microbench {name}: {base_times[name]:.1f} -> "
-              f"{cur_times[name]:.1f} ns ({delta:+.1%})")
+        cur, unit = cur_times[name]
+        base = in_unit(base_times[name], unit)
+        delta = (cur - base) / base
+        print(f"microbench {name}: {base:.1f} -> {cur:.1f} {unit} ({delta:+.1%})")
         if delta > args.tolerance:
             regressions.append(f"{name} slowed {delta:.1%} "
                                f"(tolerance {args.tolerance:.0%})")
@@ -133,16 +154,18 @@ def main():
         print(f"microbench {name}: new (no baseline)")
 
     if args.attached_overhead is not None:
-        detached = cur_times.get("BM_SimulatedSecond")
-        attached = cur_times.get("BM_SimulatedSecondKernelStats")
-        if detached is None or attached is None or detached <= 0:
+        detached_time = cur_times.get("BM_SimulatedSecond")
+        attached_time = cur_times.get("BM_SimulatedSecondKernelStats")
+        if detached_time is None or attached_time is None or detached_time[0] <= 0:
             print("ERROR: current record lacks the BM_SimulatedSecond / "
                   "BM_SimulatedSecondKernelStats pair needed for "
                   "--attached-overhead", file=sys.stderr)
             return 2
+        detached, unit = detached_time
+        attached = in_unit(attached_time, unit)
         overhead = (attached - detached) / detached
         print(f"kernel telemetry attached overhead: {detached:.1f} -> "
-              f"{attached:.1f} ns ({overhead:+.1%}, budget "
+              f"{attached:.1f} {unit} ({overhead:+.1%}, budget "
               f"{args.attached_overhead:.0%})")
         if overhead > args.attached_overhead:
             print(f"FAIL: attached kernel telemetry costs {overhead:.1%} "

@@ -33,19 +33,26 @@ std::string_view extract_field(std::string_view line, std::string_view key,
   needle += "\":";
   const std::size_t at = line.find(needle);
   util::require(at != std::string_view::npos,
-                "ops log line " + std::to_string(line_number) + " is missing \"" +
-                    std::string(key) + "\"");
+                [&] {
+                  return "ops log line " + std::to_string(line_number) + " is missing \"" +
+                         std::string(key) + "\"";
+                });
   std::string_view rest = line.substr(at + needle.size());
   if (!rest.empty() && rest.front() == '"') {
     rest.remove_prefix(1);
     const std::size_t end = rest.find('"');
     util::require(end != std::string_view::npos,
-                  "ops log line " + std::to_string(line_number) + " has an unterminated string");
+                  [&] {
+                    return "ops log line " + std::to_string(line_number) +
+                           " has an unterminated string";
+                  });
     return rest.substr(0, end);
   }
   const std::size_t end = rest.find_first_of(",}");
   util::require(end != std::string_view::npos,
-                "ops log line " + std::to_string(line_number) + " is truncated");
+                [&] {
+                  return "ops log line " + std::to_string(line_number) + " is truncated";
+                });
   return rest.substr(0, end);
 }
 
@@ -143,26 +150,38 @@ std::vector<TimedDirective> load_ops_log(std::istream& in) {
       continue;
     }
     util::require(extract_field(line, "ops", line_number) == "directive",
-                  "ops log line " + std::to_string(line_number) + " is not a directive");
+                  [&] {
+                    return "ops log line " + std::to_string(line_number) + " is not a directive";
+                  });
     TimedDirective timed;
     const std::optional<double> t = util::parse_double(extract_field(line, "t", line_number));
     util::require(t.has_value(),
-                  "ops log line " + std::to_string(line_number) + " has a bad time");
+                  [&] {
+                    return "ops log line " + std::to_string(line_number) + " has a bad time";
+                  });
     timed.apply_at = *t;
     const std::optional<Knob> knob = parse_knob(extract_field(line, "knob", line_number));
     util::require(knob.has_value(),
-                  "ops log line " + std::to_string(line_number) + " names an unknown knob");
+                  [&] {
+                    return "ops log line " + std::to_string(line_number) + " names an unknown knob";
+                  });
     timed.directive.knob = *knob;
     const std::optional<double> value =
         util::parse_double(extract_field(line, "value", line_number));
     util::require(value.has_value(),
-                  "ops log line " + std::to_string(line_number) + " has a bad value");
+                  [&] {
+                    return "ops log line " + std::to_string(line_number) + " has a bad value";
+                  });
     timed.directive.value = *value;
     util::require(!validate_directive(timed.directive.knob, timed.directive.value).has_value(),
-                  "ops log line " + std::to_string(line_number) + " fails validation");
+                  [&] {
+                    return "ops log line " + std::to_string(line_number) + " fails validation";
+                  });
     util::require(directives.empty() || directives.back().apply_at <= timed.apply_at,
-                  "ops log times must be non-decreasing (line " +
-                      std::to_string(line_number) + ")");
+                  [&] {
+                    return "ops log times must be non-decreasing (line " +
+                           std::to_string(line_number) + ")";
+                  });
     directives.push_back(timed);
   }
   return directives;

@@ -94,7 +94,8 @@ void OverloadGovernor::advance_window() {
 double OverloadGovernor::apply_directive(const ControlDirective& directive) {
   util::require(bound_, "bind() the governor before applying directives");
   const std::optional<std::string> error = validate_directive(directive.knob, directive.value);
-  util::require(!error.has_value(), "invalid control directive: " + error.value_or(""));
+  util::require(!error.has_value(),
+                [&] { return "invalid control directive: " + error.value_or(""); });
   switch (directive.knob) {
     case Knob::kRetrialCeiling: {
       const auto requested = static_cast<std::size_t>(directive.value);

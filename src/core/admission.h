@@ -129,6 +129,9 @@ class AdmissionController {
   AdmissionObserver* observer_ = nullptr;
   obs::DecisionTracer* tracer_ = nullptr;
   MemberGate* gate_ = nullptr;
+  /// Per-request tried mask (one flag per group member), reused by every
+  /// admit() so the loop allocates nothing.
+  std::unique_ptr<bool[]> tried_;
 };
 
 /// GDI baseline: perfect global knowledge, free path choice. A request is

@@ -28,9 +28,19 @@ void AdmissionHistory::reset() { failures_.assign(failures_.size(), 0); }
 
 WeightVector apply_history(const WeightVector& weights, const AdmissionHistory& history,
                            double alpha) {
+  WeightVector updated = weights;
+  std::vector<double> scratch;
+  apply_history_in_place(updated, history, alpha, scratch);
+  return updated;
+}
+
+void apply_history_in_place(WeightVector& weights, const AdmissionHistory& history, double alpha,
+                            std::vector<double>& scratch) {
   util::require(alpha >= 0.0 && alpha <= 1.0, "alpha must be in [0,1]");
   util::require(weights.size() == history.size(), "weights and history sizes must match");
   const std::size_t k = weights.size();
+  const std::vector<double>& w = weights.values();
+  const std::vector<std::size_t>& failures = history.values();
 
   // alpha^h with the 0^0 == 1 convention (h == 0 must leave weight intact).
   const auto discount = [alpha](std::size_t h) {
@@ -41,35 +51,35 @@ WeightVector apply_history(const WeightVector& weights, const AdmissionHistory& 
   double adjustable = 0.0;
   std::size_t zero_history_members = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t h = history.consecutive_failures(i);
-    adjustable += weights.at(i) * (1.0 - discount(h));
+    const std::size_t h = failures[i];
+    adjustable += w[i] * (1.0 - discount(h));
     if (h == 0) {
       ++zero_history_members;
     }
   }
 
   // Step 2 (eq. 9): shift mass from failing members to clean ones.
-  std::vector<double> updated(k, 0.0);
+  std::vector<double>& updated = scratch;
+  updated.assign(k, 0.0);
   double total = 0.0;
   for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t h = history.consecutive_failures(i);
+    const std::size_t h = failures[i];
     if (h != 0) {
-      updated[i] = weights.at(i) * discount(h);
+      updated[i] = w[i] * discount(h);
     } else {
-      updated[i] = weights.at(i) +
-                   (zero_history_members > 0
-                        ? adjustable / static_cast<double>(zero_history_members)
-                        : 0.0);
+      updated[i] = w[i] + (zero_history_members > 0
+                               ? adjustable / static_cast<double>(zero_history_members)
+                               : 0.0);
     }
     total += updated[i];
   }
 
   if (total <= 0.0) {
     // alpha == 0 with every member failing: no signal, keep prior weights.
-    return weights;
+    return;
   }
   // Step 3 (eq. 10): renormalize.
-  return WeightVector::normalized(std::move(updated));
+  weights.assign_normalized(updated);
 }
 
 }  // namespace anyqos::core

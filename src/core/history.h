@@ -51,4 +51,10 @@ class AdmissionHistory {
 WeightVector apply_history(const WeightVector& weights, const AdmissionHistory& history,
                            double alpha);
 
+/// apply_history() in place: the same floating-point operations in the same
+/// order, with step 2's intermediate vector kept in `scratch` so a selector
+/// updating its weights on every selection allocates nothing.
+void apply_history_in_place(WeightVector& weights, const AdmissionHistory& history, double alpha,
+                            std::vector<double>& scratch);
+
 }  // namespace anyqos::core

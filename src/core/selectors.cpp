@@ -11,24 +11,24 @@ namespace {
 
 /// Samples a member index from `weights` restricted to untried members.
 /// Returns nullopt when all members are tried.
+/// `masked` is the caller's scratch buffer.
 std::optional<std::size_t> sample_masked(const WeightVector& weights, std::span<const bool> tried,
-                                         des::RandomStream& rng) {
+                                         des::RandomStream& rng, std::vector<double>& masked) {
   util::require(tried.size() == weights.size(), "tried mask must match group size");
   if (std::all_of(tried.begin(), tried.end(), [](bool t) { return t; })) {
     return std::nullopt;
   }
-  WeightVector masked = weights.masked(tried);
-  if (masked.is_zero()) {
+  weights.masked_into(tried, masked);
+  if (std::all_of(masked.begin(), masked.end(), [](double w) { return w == 0.0; })) {
     // Every untried member has zero weight (e.g. WD/D+B with all-zero probed
     // bandwidth after masking). Fall back to uniform over untried members so
     // the retrial budget can still be spent.
-    std::vector<double> uniform(tried.size(), 0.0);
     for (std::size_t i = 0; i < tried.size(); ++i) {
-      uniform[i] = tried[i] ? 0.0 : 1.0;
+      masked[i] = tried[i] ? 0.0 : 1.0;
     }
-    masked = WeightVector::normalized(std::move(uniform));
+    normalize_weights(masked);
   }
-  return rng.weighted_index(masked.values());
+  return rng.weighted_index(masked);
 }
 
 std::vector<std::size_t> route_distances(net::NodeId source, const net::RouteTable& routes) {
@@ -49,7 +49,7 @@ EvenDistributionSelector::EvenDistributionSelector(std::size_t group_size)
 
 std::optional<std::size_t> EvenDistributionSelector::select(std::span<const bool> tried,
                                                             des::RandomStream& rng) {
-  return sample_masked(weights_, tried, rng);
+  return sample_masked(weights_, tried, rng, masked_);
 }
 
 std::vector<double> EvenDistributionSelector::weights() const { return weights_.values(); }
@@ -68,8 +68,8 @@ std::optional<std::size_t> DistanceHistorySelector::select(std::span<const bool>
                                                            des::RandomStream& rng) {
   // "Every time when a destination selection is about to be made, weights
   // are updated" — the update is persistent, not a per-request scratch copy.
-  weights_ = apply_history(weights_, history_, alpha_);
-  return sample_masked(weights_, tried, rng);
+  apply_history_in_place(weights_, history_, alpha_, updated_);
+  return sample_masked(weights_, tried, rng, masked_);
 }
 
 void DistanceHistorySelector::report(std::size_t index, bool admitted) {
@@ -90,32 +90,50 @@ DistanceBandwidthSelector::DistanceBandwidthSelector(net::NodeId source,
       probe_(&probe),
       mask_infeasible_(mask_infeasible),
       flow_bandwidth_(flow_bandwidth),
-      distances_(route_distances(source, routes)) {
+      distances_(route_distances(source, routes)),
+      weights_(WeightVector::uniform(distances_.size())) {
   if (mask_infeasible_) {
     util::require(flow_bandwidth_ > 0.0, "infeasibility masking needs the flow bandwidth");
   }
 }
 
-WeightVector DistanceBandwidthSelector::current_weights() const {
-  std::vector<double> bandwidths;
-  bandwidths.reserve(distances_.size());
+void DistanceBandwidthSelector::compute_weights(std::span<const bool> tried,
+                                                std::vector<double>& bandwidths,
+                                                WeightVector& out) const {
+  const std::vector<net::NodeId>& members = routes_->destinations();
+  bandwidths.assign(distances_.size(), 0.0);
   for (std::size_t i = 0; i < distances_.size(); ++i) {
+    if (members[i] == source_ && (tried.empty() || !tried[i])) {
+      bandwidths[i] = 1.0;
+      out.assign_normalized(bandwidths);
+      return;
+    }
+  }
+  for (std::size_t i = 0; i < distances_.size(); ++i) {
+    if (members[i] == source_) {
+      continue;  // co-located and already tried: masked out, nothing to probe
+    }
     double b = probe_->route_bandwidth(routes_->route(source_, i));
     if (mask_infeasible_ && b < flow_bandwidth_) {
       b = 0.0;
     }
-    bandwidths.push_back(b);
+    bandwidths[i] = b;
   }
-  return WeightVector::bandwidth_distance(bandwidths, distances_);
+  out.assign_bandwidth_distance(bandwidths, distances_);
 }
 
 std::optional<std::size_t> DistanceBandwidthSelector::select(std::span<const bool> tried,
                                                              des::RandomStream& rng) {
-  return sample_masked(current_weights(), tried, rng);
+  util::require(tried.size() == distances_.size(), "tried mask must match group size");
+  compute_weights(tried, bandwidths_, weights_);
+  return sample_masked(weights_, tried, rng, masked_);
 }
 
 std::vector<double> DistanceBandwidthSelector::weights() const {
-  return current_weights().values();
+  std::vector<double> bandwidths;
+  WeightVector weights = WeightVector::uniform(distances_.size());
+  compute_weights({}, bandwidths, weights);
+  return weights.values();
 }
 
 // ---------------------------------------------------------------- SP

@@ -22,6 +22,7 @@ class EvenDistributionSelector final : public DestinationSelector {
 
  private:
   WeightVector weights_;
+  std::vector<double> masked_;  // sampling scratch
 };
 
 /// WD/D+H (eqs. 4-10): inverse-distance base weights, persistently adjusted
@@ -42,10 +43,17 @@ class DistanceHistorySelector final : public DestinationSelector {
   double alpha_;
   WeightVector weights_;       // persistent, evolves with every selection
   AdmissionHistory history_;
+  std::vector<double> updated_;  // apply_history scratch
+  std::vector<double> masked_;   // sampling scratch
 };
 
 /// WD/D+B (eqs. 11-12): weights recomputed from live route bottleneck
 /// bandwidth (via the probe service) over route distance at every selection.
+///
+/// A member co-located with the AC-router (zero-hop route) takes all the
+/// selection mass while it is untried: no link can block it and reserving
+/// it costs no signaling, so there is nothing to probe. Eq. 12 would divide
+/// its unbounded bottleneck by a zero distance.
 class DistanceBandwidthSelector final : public DestinationSelector {
  public:
   DistanceBandwidthSelector(net::NodeId source, const net::RouteTable& routes,
@@ -57,7 +65,10 @@ class DistanceBandwidthSelector final : public DestinationSelector {
   [[nodiscard]] std::string name() const override { return "WD/D+B"; }
 
  private:
-  [[nodiscard]] WeightVector current_weights() const;
+  /// Rebuilds `out` from live probes (the co-located member's indicator
+  /// while it is untried), using `bandwidths` as scratch.
+  void compute_weights(std::span<const bool> tried, std::vector<double>& bandwidths,
+                       WeightVector& out) const;
 
   net::NodeId source_;
   const net::RouteTable* routes_;
@@ -65,6 +76,9 @@ class DistanceBandwidthSelector final : public DestinationSelector {
   bool mask_infeasible_;
   net::Bandwidth flow_bandwidth_;
   std::vector<std::size_t> distances_;
+  WeightVector weights_;            // rebuilt by every select()
+  std::vector<double> bandwidths_;  // probe scratch
+  std::vector<double> masked_;      // sampling scratch
 };
 
 /// SP baseline: deterministically tries members in increasing fixed-route

@@ -7,9 +7,7 @@
 
 namespace anyqos::core {
 
-namespace {
-
-std::vector<double> normalize(std::vector<double> raw) {
+void normalize_weights(std::span<double> raw) {
   double total = 0.0;
   for (const double w : raw) {
     util::require(w >= 0.0 && std::isfinite(w), "weights must be finite and non-negative");
@@ -19,10 +17,7 @@ std::vector<double> normalize(std::vector<double> raw) {
   for (double& w : raw) {
     w /= total;
   }
-  return raw;
 }
-
-}  // namespace
 
 WeightVector WeightVector::uniform(std::size_t k) {
   util::require(k >= 1, "weight vector needs at least one member");
@@ -30,39 +25,58 @@ WeightVector WeightVector::uniform(std::size_t k) {
 }
 
 WeightVector WeightVector::inverse_distance(std::span<const std::size_t> distances) {
-  util::require(!distances.empty(), "weight vector needs at least one member");
-  std::vector<double> raw;
-  raw.reserve(distances.size());
-  for (const std::size_t d : distances) {
-    raw.push_back(1.0 / static_cast<double>(std::max<std::size_t>(d, 1)));
-  }
-  return WeightVector(normalize(std::move(raw)));
+  WeightVector weights;
+  weights.assign_inverse_distance(distances);
+  return weights;
 }
 
 WeightVector WeightVector::bandwidth_distance(std::span<const double> bandwidths,
                                               std::span<const std::size_t> distances) {
+  WeightVector weights;
+  weights.assign_bandwidth_distance(bandwidths, distances);
+  return weights;
+}
+
+WeightVector WeightVector::normalized(std::vector<double> raw) {
+  util::require(!raw.empty(), "weight vector needs at least one member");
+  normalize_weights(raw);
+  return WeightVector(std::move(raw));
+}
+
+void WeightVector::assign_inverse_distance(std::span<const std::size_t> distances) {
+  util::require(!distances.empty(), "weight vector needs at least one member");
+  weights_.clear();
+  for (const std::size_t d : distances) {
+    weights_.push_back(1.0 / static_cast<double>(std::max<std::size_t>(d, 1)));
+  }
+  normalize_weights(weights_);
+}
+
+void WeightVector::assign_bandwidth_distance(std::span<const double> bandwidths,
+                                             std::span<const std::size_t> distances) {
   util::require(bandwidths.size() == distances.size(),
                 "bandwidths and distances must have equal length");
   util::require(!bandwidths.empty(), "weight vector needs at least one member");
-  std::vector<double> raw;
-  raw.reserve(bandwidths.size());
+  weights_.clear();
   double total = 0.0;
   for (std::size_t i = 0; i < bandwidths.size(); ++i) {
     util::require(bandwidths[i] >= 0.0 && std::isfinite(bandwidths[i]),
                   "route bandwidths must be finite and non-negative");
     const double w = bandwidths[i] / static_cast<double>(std::max<std::size_t>(distances[i], 1));
-    raw.push_back(w);
+    weights_.push_back(w);
     total += w;
   }
   if (total <= 0.0) {
-    return inverse_distance(distances);
+    assign_inverse_distance(distances);
+    return;
   }
-  return WeightVector(normalize(std::move(raw)));
+  normalize_weights(weights_);
 }
 
-WeightVector WeightVector::normalized(std::vector<double> raw) {
+void WeightVector::assign_normalized(std::span<const double> raw) {
   util::require(!raw.empty(), "weight vector needs at least one member");
-  return WeightVector(normalize(std::move(raw)));
+  weights_.assign(raw.begin(), raw.end());
+  normalize_weights(weights_);
 }
 
 double WeightVector::at(std::size_t i) const {
@@ -71,22 +85,27 @@ double WeightVector::at(std::size_t i) const {
 }
 
 WeightVector WeightVector::masked(std::span<const bool> excluded) const {
+  std::vector<double> raw;
+  masked_into(excluded, raw);
+  return WeightVector(std::move(raw));  // all-zero when nothing is left: caller checks is_zero()
+}
+
+void WeightVector::masked_into(std::span<const bool> excluded, std::vector<double>& out) const {
   util::require(excluded.size() == weights_.size(), "mask length must match weight count");
-  std::vector<double> raw(weights_.size(), 0.0);
+  out.assign(weights_.size(), 0.0);
   double total = 0.0;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     if (!excluded[i]) {
-      raw[i] = weights_[i];
+      out[i] = weights_[i];
       total += weights_[i];
     }
   }
   if (total <= 0.0) {
-    return WeightVector(std::move(raw));  // all-zero: caller checks is_zero()
+    return;
   }
-  for (double& w : raw) {
+  for (double& w : out) {
     w /= total;
   }
-  return WeightVector(std::move(raw));
 }
 
 bool WeightVector::is_zero() const {

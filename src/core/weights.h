@@ -34,6 +34,15 @@ class WeightVector {
   /// Requires at least one positive value.
   static WeightVector normalized(std::vector<double> raw);
 
+  /// In-place forms of the builders above, for selectors that rebuild their
+  /// weights on every selection: the same checks and the same floating-point
+  /// operations in the same order (so draws stay bit-identical), but the
+  /// result overwrites this vector's storage instead of allocating.
+  void assign_inverse_distance(std::span<const std::size_t> distances);
+  void assign_bandwidth_distance(std::span<const double> bandwidths,
+                                 std::span<const std::size_t> distances);
+  void assign_normalized(std::span<const double> raw);
+
   [[nodiscard]] std::size_t size() const { return weights_.size(); }
   [[nodiscard]] double at(std::size_t i) const;
   [[nodiscard]] const std::vector<double>& values() const { return weights_; }
@@ -42,6 +51,8 @@ class WeightVector {
   /// Returns an all-zero vector when every member with positive weight is
   /// excluded (callers detect this via is_zero()).
   [[nodiscard]] WeightVector masked(std::span<const bool> excluded) const;
+  /// masked() written into `out` (resized to size()), reusing its storage.
+  void masked_into(std::span<const bool> excluded, std::vector<double>& out) const;
 
   /// True when every entry is zero (only produced by masked()).
   [[nodiscard]] bool is_zero() const;
@@ -50,9 +61,14 @@ class WeightVector {
   [[nodiscard]] bool normalized_within(double tolerance) const;
 
  private:
+  WeightVector() = default;
   explicit WeightVector(std::vector<double> weights) : weights_(std::move(weights)) {}
 
   std::vector<double> weights_;
 };
+
+/// Scales finite non-negative `raw` in place to sum 1 — the normalization
+/// every builder applies. Requires a positive total.
+void normalize_weights(std::span<double> raw);
 
 }  // namespace anyqos::core

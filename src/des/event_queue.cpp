@@ -8,8 +8,14 @@ EventHandle EventQueue::schedule(double time, Action action, EventCategory categ
                                  double scheduled_at) {
   util::require(static_cast<bool>(action), "cannot schedule an empty action");
   const std::uint64_t id = next_id_++;
-  heap_.push(Entry{time, next_sequence_++, id});
-  pending_.emplace(id, Stored{std::move(action), category, scheduled_at});
+  const std::uint32_t slot = slots_.acquire();
+  Pending& pending = slots_[slot];
+  pending.action = std::move(action);
+  pending.id = id;
+  pending.category = category;
+  pending.scheduled_at = scheduled_at;
+  window_.assign(id, slot);
+  heap_.push(Entry{time, id, slot});
   ++live_;
   return EventHandle{id};
 }
@@ -20,21 +26,25 @@ bool EventQueue::cancel(EventHandle handle) {
 }
 
 bool EventQueue::cancel(EventHandle handle, EventCategory& category) {
-  if (!handle.valid()) {
+  const std::uint32_t slot = window_.find(handle.id);
+  if (slot == util::IdWindow::kNone) {
     return false;
   }
-  const auto it = pending_.find(handle.id);
-  if (it == pending_.end()) {
-    return false;
-  }
-  category = it->second.category;
-  pending_.erase(it);
-  --live_;
+  category = slots_[slot].category;
+  slots_[slot].action = Action{};
+  retire(handle.id, slot);
   return true;
 }
 
+void EventQueue::retire(std::uint64_t id, std::uint32_t slot) {
+  slots_[slot].id = 0;
+  slots_.release(slot);
+  window_.vacate(id);
+  --live_;
+}
+
 void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && pending_.find(heap_.top().id) == pending_.end()) {
+  while (!heap_.empty() && slots_[heap_.top().slot].id != heap_.top().id) {
     heap_.pop();
     ++tombstones_popped_;
   }
@@ -53,12 +63,10 @@ EventQueue::Fired EventQueue::pop() {
   util::ensure(!heap_.empty(), "live count positive but heap exhausted");
   const Entry top = heap_.top();
   heap_.pop();
-  const auto it = pending_.find(top.id);
-  util::ensure(it != pending_.end(), "live heap top has no pending action");
-  Fired fired{top.time, top.id, std::move(it->second.action), it->second.category,
-              it->second.scheduled_at};
-  pending_.erase(it);
-  --live_;
+  Pending& pending = slots_[top.slot];
+  Fired fired{top.time, top.id, std::move(pending.action), pending.category,
+              pending.scheduled_at};
+  retire(top.id, top.slot);
   return fired;
 }
 

@@ -4,11 +4,12 @@
 
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "src/des/action.h"
 #include "src/des/category.h"
+#include "src/util/id_window.h"
+#include "src/util/slot_arena.h"
 
 namespace anyqos::des {
 
@@ -21,6 +22,9 @@ struct EventHandle {
 /// Min-heap of timestamped callbacks with deterministic FIFO tie-breaking:
 /// two events at the same time fire in the order they were scheduled.
 /// Cancellation is lazy (tombstoned) so it stays O(log n) amortized.
+///
+/// Event ids are the 1-based schedule ordinals (1, 2, 3, ... on a fresh
+/// queue), so a bare id is a valid handle: cancel(EventHandle{id}) works.
 class EventQueue {
  public:
   /// Scheduled callbacks are des::Action — inline storage, move-only, no
@@ -66,39 +70,48 @@ class EventQueue {
   /// Raw heap entries, live plus not-yet-collected tombstones. The excess
   /// over size() is the current tombstone backlog.
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// Pending-action slots allocated (live, free, or awaiting reuse).
+  [[nodiscard]] std::size_t slot_capacity() const { return slots_.capacity(); }
+  /// Entries of the id -> slot window that cancel() consults (ring plus
+  /// spilled stragglers).
+  [[nodiscard]] std::size_t window_capacity() const { return window_.capacity(); }
 
  private:
+  /// Heap entry. Ids grow with every schedule call, so the id doubles as
+  /// the FIFO tie-break at equal times.
   struct Entry {
     double time;
-    std::uint64_t sequence;
     std::uint64_t id;
+    std::uint32_t slot;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
-      return a.sequence > b.sequence;
+      return a.id > b.id;
     }
+  };
+
+  /// A pending action. `id` is 0 while the slot is free; a heap entry whose
+  /// id no longer matches its slot's is a tombstone (cancelled, and the
+  /// slot possibly reused since).
+  struct Pending {
+    Action action;
+    std::uint64_t id = 0;
+    EventCategory category;
+    double scheduled_at = 0.0;
   };
 
   /// Pops heap entries whose action was cancelled until the top is live.
   void drop_cancelled() const;
+  /// Empties a pending slot whose event left the queue (fired or cancelled).
+  void retire(std::uint64_t id, std::uint32_t slot);
 
-  struct Stored {
-    Action action;
-    EventCategory category;
-    double scheduled_at;
-  };
-
-  // Stored events live in `pending_` keyed by event id; the heap stores
-  // plain (time, sequence, id) entries, so cancelling is just erasing from
-  // the map and the heap entry becomes a tombstone skipped by
-  // drop_cancelled().
   mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<std::uint64_t, Stored> pending_;
+  util::SlotArena<Pending> slots_;
+  util::IdWindow window_;  // event id -> slot, for cancel()
   std::uint64_t next_id_ = 1;
-  std::uint64_t next_sequence_ = 0;
   std::size_t live_ = 0;
   mutable std::uint64_t tombstones_popped_ = 0;
 };

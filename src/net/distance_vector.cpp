@@ -156,9 +156,10 @@ std::vector<Path> distance_vector_routes(const Topology& topology,
   for (NodeId source = 0; source < topology.router_count(); ++source) {
     for (const NodeId dest : destinations) {
       auto path = protocol.path(source, dest);
-      util::require(path.has_value(), "topology is disconnected: no route from " +
-                                          std::to_string(source) + " to " +
-                                          std::to_string(dest));
+      util::require(path.has_value(), [&] {
+        return "topology is disconnected: no route from " + std::to_string(source) + " to " +
+               std::to_string(dest);
+      });
       routes.push_back(std::move(*path));
     }
   }

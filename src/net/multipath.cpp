@@ -16,9 +16,10 @@ MultiPathRouteTable::MultiPathRouteTable(const Topology& topology,
   for (NodeId source = 0; source < router_count_; ++source) {
     for (const NodeId dest : destinations_) {
       std::vector<Path> ranked = k_shortest_paths(topology, source, dest, k_);
-      util::require(!ranked.empty(), "topology is disconnected: no route from " +
-                                         std::to_string(source) + " to " +
-                                         std::to_string(dest));
+      util::require(!ranked.empty(), [&] {
+        return "topology is disconnected: no route from " + std::to_string(source) + " to " +
+               std::to_string(dest);
+      });
       paths_.push_back(std::move(ranked));
     }
   }

@@ -274,8 +274,10 @@ RouteTable::RouteTable(const Topology& topology, std::vector<NodeId> destination
   for (NodeId s = 0; s < router_count_; ++s) {
     for (const NodeId d : destinations_) {
       auto path = shortest_path(topology, s, d);
-      util::require(path.has_value(), "topology is disconnected: no route from " +
-                                          std::to_string(s) + " to " + std::to_string(d));
+      util::require(path.has_value(), [&] {
+        return "topology is disconnected: no route from " + std::to_string(s) + " to " +
+               std::to_string(d);
+      });
       routes_.push_back(std::move(*path));
     }
   }

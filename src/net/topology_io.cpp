@@ -80,7 +80,7 @@ Topology parse_topology_text(const std::string& text) {
 
 Topology load_topology(const std::string& path) {
   std::ifstream in(path);
-  util::require(in.good(), "cannot open topology file: " + path);
+  util::require(in.good(), [&] { return "cannot open topology file: " + path; });
   return parse_topology(in);
 }
 
@@ -109,9 +109,9 @@ std::string topology_to_text(const Topology& topology) {
 
 void save_topology(const Topology& topology, const std::string& path) {
   std::ofstream out(path);
-  util::require(out.good(), "cannot open file for writing: " + path);
+  util::require(out.good(), [&] { return "cannot open file for writing: " + path; });
   out << topology_to_text(topology);
-  util::require(out.good(), "failed writing topology file: " + path);
+  util::require(out.good(), [&] { return "failed writing topology file: " + path; });
 }
 
 }  // namespace anyqos::net

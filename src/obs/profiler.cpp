@@ -32,11 +32,13 @@ EngineProfiler::EngineProfiler(double checkpoint_interval_s)
     : checkpoint_interval_s_(checkpoint_interval_s) {}
 
 void EngineProfiler::attach(des::Simulator& simulator,
-                            std::function<std::size_t()> active_flows) {
+                            std::function<std::size_t()> active_flows,
+                            std::function<bool()> stop_rearming) {
   util::require(simulator_ == nullptr, "profiler already attached");
   simulator_ = &simulator;
   category_ = simulator.category("obs.profiler");
   active_flows_ = std::move(active_flows);
+  stop_rearming_ = std::move(stop_rearming);
   ANYQOS_DETLINT_ALLOW(wall_clock, "profiler measures real engine throughput");
   attach_wall_ = std::chrono::steady_clock::now();
   baseline_events_ = simulator.dispatched_events();
@@ -48,7 +50,9 @@ void EngineProfiler::attach(des::Simulator& simulator,
 void EngineProfiler::schedule_checkpoint() {
   simulator_->schedule_in(checkpoint_interval_s_, category_, [this] {
     sample();
-    schedule_checkpoint();
+    if (stop_rearming_ == nullptr || !stop_rearming_()) {
+      schedule_checkpoint();
+    }
   });
 }
 

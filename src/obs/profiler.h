@@ -64,8 +64,13 @@ class EngineProfiler {
   /// Starts the wall clock, snapshots the kernel's dispatch baseline, and
   /// (when the interval is positive) installs the periodic checkpoint event.
   /// `active_flows` optionally supplies the model population per sample.
-  /// Call before running the simulator; `simulator` must outlive this.
-  void attach(des::Simulator& simulator, std::function<std::size_t()> active_flows = {});
+  /// `stop_rearming` — when supplied — is consulted after each checkpoint;
+  /// once it returns true no further checkpoint is parked, so a
+  /// drain-to-quiescence run can empty its calendar (the timeline's and the
+  /// auditor's contract). Call before running the simulator; `simulator`
+  /// must outlive this.
+  void attach(des::Simulator& simulator, std::function<std::size_t()> active_flows = {},
+              std::function<bool()> stop_rearming = {});
 
   /// Takes one throughput sample now (requires a prior attach()).
   void sample();
@@ -113,6 +118,7 @@ class EngineProfiler {
   des::Simulator* simulator_ = nullptr;
   des::EventCategory category_;  // "obs.profiler" kernel tag
   std::function<std::size_t()> active_flows_;
+  std::function<bool()> stop_rearming_;
   std::chrono::steady_clock::time_point attach_wall_{};
   std::uint64_t baseline_events_ = 0;
   std::vector<ProfileSample> samples_;

@@ -202,8 +202,10 @@ MetricsRegistry::Family& MetricsRegistry::family_for(const std::string& name,
     it->second.type = type;
   } else {
     util::require(it->second.type == type,
-                  "metric '" + name + "' already registered as " +
-                      to_string(it->second.type) + ", not " + to_string(type));
+                  [&] {
+                    return "metric '" + name + "' already registered as " +
+                           to_string(it->second.type) + ", not " + to_string(type);
+                  });
   }
   return it->second;
 }
@@ -252,7 +254,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name, const std::string
     series.histogram = std::make_unique<Histogram>(std::move(bounds));
   } else {
     util::require(series.histogram->bounds() == bounds,
-                  "histogram '" + name + "' re-registered with different bounds");
+                  [&] { return "histogram '" + name + "' re-registered with different bounds"; });
   }
   return *series.histogram;
 }

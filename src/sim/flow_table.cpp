@@ -1,79 +1,76 @@
 #include "src/sim/flow_table.h"
 
 #include <algorithm>
+#include <string>
 
-#include "src/util/annotations.h"
 #include "src/util/require.h"
 
 namespace anyqos::sim {
 
+void FlowTable::place(ActiveFlow flow) {
+  const std::uint32_t slot = flows_.acquire();
+  window_.assign(flow.id, slot);
+  flows_[slot] = std::move(flow);
+  ++size_;
+}
+
 FlowId FlowTable::insert(ActiveFlow flow) {
   const FlowId id = next_id_++;
   flow.id = id;
-  flows_.emplace(id, std::move(flow));
+  place(std::move(flow));
   return id;
 }
 
 void FlowTable::restore(ActiveFlow flow) {
   util::require(flow.id != 0 && flow.id < next_id_, "restore requires an id this table issued");
-  util::require(flows_.find(flow.id) == flows_.end(),
-                "flow is already active: " + std::to_string(flow.id));
-  const FlowId id = flow.id;
-  flows_.emplace(id, std::move(flow));
+  util::require(!contains(flow.id),
+                [&] { return "flow is already active: " + std::to_string(flow.id); });
+  place(std::move(flow));
 }
 
 ActiveFlow FlowTable::take(FlowId id) {
-  const auto it = flows_.find(id);
-  util::require(it != flows_.end(), "flow not active: " + std::to_string(id));
-  ActiveFlow flow = std::move(it->second);
-  flows_.erase(it);
+  const std::uint32_t slot = window_.find(id);
+  util::require(slot != util::IdWindow::kNone,
+                [&] { return "flow not active: " + std::to_string(id); });
+  ActiveFlow flow = std::move(flows_[slot]);
+  flows_.release(slot);
+  window_.vacate(id);
+  --size_;
   return flow;
 }
 
-bool FlowTable::contains(FlowId id) const { return flows_.find(id) != flows_.end(); }
+bool FlowTable::contains(FlowId id) const { return window_.find(id) != util::IdWindow::kNone; }
 
 const ActiveFlow& FlowTable::get(FlowId id) const {
-  const auto it = flows_.find(id);
-  util::require(it != flows_.end(), "flow not active: " + std::to_string(id));
-  return it->second;
+  const std::uint32_t slot = window_.find(id);
+  util::require(slot != util::IdWindow::kNone,
+                [&] { return "flow not active: " + std::to_string(id); });
+  return flows_[slot];
 }
 
 std::vector<FlowId> FlowTable::flows_using_link(net::LinkId link) const {
   std::vector<FlowId> ids;
-  ANYQOS_DETLINT_ALLOW(unordered_artifact_iteration, "sorted-key extraction");
-  for (const auto& [id, flow] : flows_) {
+  scan([&](const ActiveFlow& flow) {
     if (std::find(flow.route.links.begin(), flow.route.links.end(), link) !=
         flow.route.links.end()) {
-      ids.push_back(id);
+      ids.push_back(flow.id);
     }
-  }
-  std::sort(ids.begin(), ids.end());
+  });
   return ids;
 }
 
 std::vector<FlowId> FlowTable::flows_to_member(std::size_t destination_index) const {
   std::vector<FlowId> ids;
-  ANYQOS_DETLINT_ALLOW(unordered_artifact_iteration, "sorted-key extraction");
-  for (const auto& [id, flow] : flows_) {
+  scan([&](const ActiveFlow& flow) {
     if (flow.destination_index == destination_index) {
-      ids.push_back(id);
+      ids.push_back(flow.id);
     }
-  }
-  std::sort(ids.begin(), ids.end());
+  });
   return ids;
 }
 
 void FlowTable::for_each(const std::function<void(const ActiveFlow&)>& visit) const {
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  ANYQOS_DETLINT_ALLOW(unordered_artifact_iteration, "sorted-key extraction");
-  for (const auto& [id, flow] : flows_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const FlowId id : ids) {
-    visit(flows_.at(id));
-  }
+  scan(visit);
 }
 
 }  // namespace anyqos::sim

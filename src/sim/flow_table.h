@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/topology.h"
+#include "src/util/id_window.h"
+#include "src/util/slot_arena.h"
 
 namespace anyqos::sim {
 
@@ -25,6 +26,12 @@ struct ActiveFlow {
 };
 
 /// Id-keyed table of active flows with link-based lookup for fault handling.
+///
+/// Flow ids are issued in increasing order, so the table is an id window
+/// (util::IdWindow) over pooled ActiveFlow slots: lookups are an index, not
+/// a hash, and every scan walks the window, i.e. visits flows in ascending
+/// id order with no sort. Storage is bounded by a small multiple of the
+/// live flows, however many have come and gone.
 class FlowTable {
  public:
   /// Registers a flow; assigns and returns a fresh id.
@@ -42,8 +49,8 @@ class FlowTable {
   [[nodiscard]] bool contains(FlowId id) const;
   [[nodiscard]] const ActiveFlow& get(FlowId id) const;
 
-  [[nodiscard]] std::size_t size() const { return flows_.size(); }
-  [[nodiscard]] bool empty() const { return flows_.empty(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Ids of flows whose route crosses directed link `link`, in ascending id
   /// order (deterministic fault processing).
@@ -56,8 +63,23 @@ class FlowTable {
   /// Applies `visit` to every active flow in ascending id order.
   void for_each(const std::function<void(const ActiveFlow&)>& visit) const;
 
+  /// Flow slots allocated (live or free).
+  [[nodiscard]] std::size_t slot_capacity() const { return flows_.capacity(); }
+  /// Entries of the id -> slot window (ring plus spilled stragglers).
+  [[nodiscard]] std::size_t window_capacity() const { return window_.capacity(); }
+
  private:
-  std::unordered_map<FlowId, ActiveFlow> flows_;
+  /// Calls `visit(flow)` for every active flow in ascending id order.
+  template <typename Visit>
+  void scan(Visit&& visit) const {
+    window_.for_each([&](FlowId /*id*/, std::uint32_t slot) { visit(flows_[slot]); });
+  }
+  /// Stores `flow` (whose id is set) in a free slot.
+  void place(ActiveFlow flow);
+
+  util::SlotArena<ActiveFlow> flows_;
+  util::IdWindow window_;  // flow id -> slot
+  std::size_t size_ = 0;
   FlowId next_id_ = 1;
 };
 

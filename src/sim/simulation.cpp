@@ -621,7 +621,7 @@ void Simulation::handle_arrival() {
   flow.request_id = request.request_id;
   flow.source = request.source;
   flow.destination_index = *decision.destination_index;
-  flow.route = decision.route;
+  flow.route = std::move(decision.route);
   flow.bandwidth_bps = request.bandwidth_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
@@ -1018,7 +1018,7 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   // its outcome still feeds the feedback window — it is real load.
   const std::uint64_t path_before =
       governor_ != nullptr ? counter_.by_kind(signaling::MessageKind::kPath) : 0;
-  const core::AdmissionDecision decision =
+  core::AdmissionDecision decision =
       controller_for(request.source).admit(request, selection_rng_);
   if (governor_ != nullptr) {
     governor_->on_decision(simulator_.now(), decision.admitted,
@@ -1036,7 +1036,7 @@ void Simulation::attempt_failover(const ActiveFlow& displaced) {
   flow.request_id = request.request_id;
   flow.source = request.source;
   flow.destination_index = *decision.destination_index;
-  flow.route = decision.route;
+  flow.route = std::move(decision.route);
   flow.bandwidth_bps = request.bandwidth_bps;
   flow.admitted_at = simulator_.now();
   const FlowId id = flows_.insert(std::move(flow));
@@ -1072,7 +1072,8 @@ SimulationResult Simulation::run() {
   ran_ = true;
 
   if (config_.profiler != nullptr) {
-    config_.profiler->attach(simulator_, [this] { return flows_.size(); });
+    config_.profiler->attach(simulator_, [this] { return flows_.size(); },
+                             [this] { return draining_; });
   }
   if (timeline_ != nullptr) {
     // Register columns before the first event so the artifact's schema is

@@ -13,7 +13,7 @@ CliFlags::CliFlags(std::string program, std::string description)
 void CliFlags::declare(std::string name, Flag flag) {
   require(!name.empty(), "flag name must not be empty");
   const auto [it, inserted] = flags_.emplace(std::move(name), std::move(flag));
-  require(inserted, "duplicate flag declaration: " + it->first);
+  require(inserted, [&] { return "duplicate flag declaration: " + it->first; });
 }
 
 void CliFlags::add_double(std::string name, double default_value, std::string help) {
@@ -26,7 +26,7 @@ void CliFlags::add_double(std::string name, double default_value, std::string he
 
 void CliFlags::add_probability(std::string name, double default_value, std::string help) {
   require(default_value >= 0.0 && default_value <= 1.0,
-          "default for probability flag --" + name + " must be in [0,1]");
+          [&] { return "default for probability flag --" + name + " must be in [0,1]"; });
   Flag flag;
   flag.kind = Kind::kDouble;
   flag.help = std::move(help);
@@ -39,7 +39,7 @@ void CliFlags::add_probability(std::string name, double default_value, std::stri
 
 void CliFlags::add_duration(std::string name, double default_value, std::string help) {
   require(default_value >= 0.0,
-          "default for duration flag --" + name + " must be non-negative");
+          [&] { return "default for duration flag --" + name + " must be non-negative"; });
   Flag flag;
   flag.kind = Kind::kDouble;
   flag.help = std::move(help);
@@ -75,7 +75,7 @@ void CliFlags::add_bool(std::string name, bool default_value, std::string help) 
 
 void CliFlags::assign(const std::string& name, std::string_view value) {
   const auto it = flags_.find(name);
-  require(it != flags_.end(), "unknown flag: --" + name);
+  require(it != flags_.end(), [&] { return "unknown flag: --" + name; });
   Flag& flag = it->second;
   switch (flag.kind) {
     case Kind::kDouble: {
@@ -83,18 +83,28 @@ void CliFlags::assign(const std::string& name, std::string_view value) {
           flag.value_desc.empty() ? std::string("a number") : flag.value_desc;
       const auto parsed = parse_double(value);
       require(parsed.has_value(),
-              "flag --" + name + " expects " + expects + ", got '" + std::string(value) + "'");
+              [&] {
+                return "flag --" + name + " expects " + expects + ", got '" + std::string(value) +
+                       "'";
+              });
       require(!flag.min_value.has_value() || *parsed >= *flag.min_value,
-              "flag --" + name + " expects " + expects + ", got " + std::string(value));
+              [&] {
+                return "flag --" + name + " expects " + expects + ", got " + std::string(value);
+              });
       require(!flag.max_value.has_value() || *parsed <= *flag.max_value,
-              "flag --" + name + " expects " + expects + ", got " + std::string(value));
+              [&] {
+                return "flag --" + name + " expects " + expects + ", got " + std::string(value);
+              });
       flag.as_double = *parsed;
       return;
     }
     case Kind::kUnsigned: {
       const auto parsed = parse_unsigned(value);
       require(parsed.has_value(),
-              "flag --" + name + " expects a non-negative integer, got '" + std::string(value) + "'");
+              [&] {
+                return "flag --" + name + " expects a non-negative integer, got '" +
+                       std::string(value) + "'";
+              });
       flag.as_unsigned = *parsed;
       return;
     }
@@ -121,7 +131,9 @@ void CliFlags::parse(int argc, const char* const* argv) {
       help_requested_ = true;
       continue;
     }
-    require(starts_with(arg, "--"), "arguments must be --flag[=value], got '" + std::string(arg) + "'");
+    require(starts_with(arg, "--"), [&] {
+      return "arguments must be --flag[=value], got '" + std::string(arg) + "'";
+    });
     arg.remove_prefix(2);
     const std::size_t eq = arg.find('=');
     if (eq != std::string_view::npos) {
@@ -130,12 +142,12 @@ void CliFlags::parse(int argc, const char* const* argv) {
     }
     const std::string name(arg);
     const auto it = flags_.find(name);
-    require(it != flags_.end(), "unknown flag: --" + name);
+    require(it != flags_.end(), [&] { return "unknown flag: --" + name; });
     if (it->second.kind == Kind::kBool) {
       it->second.as_bool = true;
       continue;
     }
-    require(i + 1 < argc, "flag --" + name + " requires a value");
+    require(i + 1 < argc, [&] { return "flag --" + name + " requires a value"; });
     assign(name, argv[++i]);
   }
 }
@@ -172,8 +184,9 @@ std::string CliFlags::help_text() const {
 
 const CliFlags::Flag& CliFlags::find(std::string_view name, Kind kind) const {
   const auto it = flags_.find(name);
-  require(it != flags_.end(), "flag was never declared: " + std::string(name));
-  require(it->second.kind == kind, "flag accessed with wrong type: " + std::string(name));
+  require(it != flags_.end(), [&] { return "flag was never declared: " + std::string(name); });
+  require(it->second.kind == kind,
+          [&] { return "flag accessed with wrong type: " + std::string(name); });
   return it->second;
 }
 

@@ -2,17 +2,15 @@
 
 namespace anyqos::util {
 
-void require(bool condition, std::string_view message) {
-  if (!condition) {
-    throw std::invalid_argument(std::string(message));
-  }
+namespace detail {
+
+void throw_require(std::string_view message) {
+  throw std::invalid_argument(std::string(message));
 }
 
-void ensure(bool condition, std::string_view message) {
-  if (!condition) {
-    throw InvariantError(std::string(message));
-  }
-}
+void throw_ensure(std::string_view message) { throw InvariantError(std::string(message)); }
+
+}  // namespace detail
 
 void unreachable(std::string_view message) {
   throw InvariantError("unreachable: " + std::string(message));

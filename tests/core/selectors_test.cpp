@@ -221,6 +221,32 @@ TEST(DistanceBandwidth, AllInfeasibleMaskedFallsBackToUniformOverUntried) {
   EXPECT_LT(*idx, 3u);
 }
 
+TEST(DistanceBandwidth, CoLocatedMemberTakesAllMassWhileUntried) {
+  Fixture f;
+  // Source 1 is itself member 0: its route has zero hops, so no link can
+  // block it and eq. 12 (B/D with an unbounded B over D = 0) is undefined.
+  DistanceBandwidthSelector selector(1, f.routes, f.probe, false, 64'000.0);
+  const auto w = selector.weights();
+  EXPECT_DOUBLE_EQ(w[0], 1.0);
+  EXPECT_DOUBLE_EQ(w[1], 0.0);
+  EXPECT_DOUBLE_EQ(w[2], 0.0);
+  const auto before = f.counter.total();
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(*selector.select(none_tried(), f.rng), 0u);
+  }
+  EXPECT_EQ(f.counter.total(), before);  // nothing to probe
+  // Once tried, the other members share the mass by eq. 12 (D = 1 and 3),
+  // and only their routes are probed: 1 + 3 links, out and back.
+  const std::array<bool, 3> tried{true, false, false};
+  std::array<int, 3> counts{};
+  for (int i = 0; i < 4'000; ++i) {
+    ++counts[*selector.select(tried, f.rng)];
+  }
+  EXPECT_EQ(counts[0], 0);
+  EXPECT_NEAR(counts[1] / 4'000.0, 0.75, 0.03);
+  EXPECT_EQ(f.counter.total() - before, 4'000u * 8u);
+}
+
 TEST(ShortestPathPolicy, AlwaysNearestFirst) {
   Fixture f;
   ShortestPathSelector selector(0, f.routes);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/net/topologies.h"
+#include "src/obs/profiler.h"
 #include "src/sim/simulation.h"
 
 namespace anyqos::sim {
@@ -83,6 +84,25 @@ TEST(DrainWatchdog, NoDrainMeansNoTrip) {
   Simulation sim(topo, config);
   (void)sim.run();
   EXPECT_FALSE(sim.drain_watchdog().tripped);
+}
+
+TEST(DrainWatchdog, ProfiledDrainReachesQuiescence) {
+  // The engine profiler's checkpoint event stops rearming once the drain
+  // begins (like the timeline's and the auditor's), so a profiled drain
+  // empties the calendar well inside the event budget. A checkpoint that
+  // rearmed forever would exhaust the budget and trip the watchdog.
+  const net::Topology topo = net::topologies::ring(5);
+  SimulationConfig config = sticky_config();
+  config.traffic.mean_holding_s = 100.0;
+  config.drain_max_events = 100'000;
+  obs::EngineProfiler profiler(10.0);
+  config.profiler = &profiler;
+  Simulation sim(topo, config);
+  (void)sim.run();
+  EXPECT_FALSE(sim.drain_watchdog().tripped) << sim.drain_watchdog().reason;
+  EXPECT_EQ(sim.active_flows(), 0U);
+  EXPECT_LT(sim.drain_watchdog().drained_events, 10'000U);
+  EXPECT_GT(profiler.samples().size(), 0U);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace anyqos::util {
 namespace {
 
@@ -60,6 +62,40 @@ TEST(Ensure, CatchableAsLogicErrorWithMessage) {
   } catch (const std::logic_error& e) {  // the documented base-class contract
     EXPECT_STREQ(e.what(), "specific invariant");
   }
+}
+
+TEST(Require, LazyMessageBuiltOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return "flow not active: " + std::to_string(42);
+  };
+  EXPECT_NO_THROW(require(true, message));
+  EXPECT_EQ(built, 0);
+  try {
+    require(false, message);
+    FAIL() << "require should have thrown";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flow not active: 42");
+  }
+  EXPECT_EQ(built, 1);
+}
+
+TEST(Ensure, LazyMessageBuiltOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return std::string("slot ") + std::to_string(7) + " out of range";
+  };
+  EXPECT_NO_THROW(ensure(true, message));
+  EXPECT_EQ(built, 0);
+  try {
+    ensure(false, message);
+    FAIL() << "ensure should have thrown";
+  } catch (const InvariantError& e) {
+    EXPECT_STREQ(e.what(), "slot 7 out of range");
+  }
+  EXPECT_EQ(built, 1);
 }
 
 TEST(InvariantErrorType, ConstructibleAndCatchableAsLogicError) {
