@@ -1,14 +1,16 @@
 // chaossim — chaos harness for the resilient signaling plane.
 //
 // Sweeps a fault matrix — control-message loss x injected hop delay x member
-// churn x link faults x router crashes — and runs every cell to quiescence
-// (arrivals stop after the measurement window, the calendar runs dry) under
-// a non-throwing InvariantAuditor. A cell passes when it ends with an empty
-// flow table, zero reserved bandwidth, zero pending orphans, an empty
-// path-repair queue, a clean audit log, and — for probe-free runs started
-// without warm-up — a signaling hop tally that reconciles exactly with the
-// MessageCounter. Exits nonzero if any cell fails, which makes the binary a
-// CI gate.
+// churn x link faults x router crashes. Every cell is a sim::Scenario (the
+// flags' base plus the cell's axes, at seed+cell) judged by the chaos oracle
+// (audit/chaos_oracle.h), the same judge chaossim --scenario and chaosfuzz
+// use: the cell runs to quiescence (arrivals stop after the measurement
+// window, the calendar runs dry) under a throwing InvariantAuditor, and it
+// passes when it ends with an empty flow table, zero reserved bandwidth,
+// zero pending orphans, an empty path-repair queue, no audit finding, a
+// signaling hop tally that reconciles exactly with the MessageCounter, and
+// no circuit breaker left Open. Exits nonzero if any cell fails, which
+// makes the binary a CI gate.
 //
 // Cells on the node-fault axis (--node-mtbfs entries > 0) run the full
 // failure-domain plane: Poisson router crashes, link-state flooding
@@ -20,34 +22,29 @@
 //   $ ./chaossim --topology=grid:3x3 --group=0,8 --measure=2000 --out=chaos.csv
 //   $ ./chaossim --metrics-out=chaos.prom --spans-out=spans.jsonl --flight-prefix=/tmp/flight
 //
-// Every cell runs with a flight recorder by default: when a link fault,
+// The oracle arms a flight recorder in every cell: when a link fault,
 // member churn, or audit finding fires, the cell's bounded causal snapshot
 // is written to <flight-prefix>-cell<N>.jsonl (cells without a trigger write
 // nothing).
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/audit/auditor.h"
 #include "src/audit/chaos_oracle.h"
 #include "src/control/directive.h"
 #include "src/control/governor.h"
-#include "src/net/reconvergence.h"
-#include "src/net/topologies.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/kernel_stats.h"
 #include "src/obs/ops_server.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/timeline.h"
-#include "src/sim/churn.h"
-#include "src/sim/faults.h"
 #include "src/sim/metrics_export.h"
 #include "src/sim/scenario.h"
-#include "src/sim/simulation.h"
 #include "src/util/cli.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
@@ -57,75 +54,29 @@ namespace {
 
 using namespace anyqos;
 
-std::vector<net::NodeId> parse_nodes(const std::string& text, const char* what) {
-  std::vector<net::NodeId> nodes;
-  for (const std::string& field : util::split(text, ',')) {
-    const auto value = util::parse_unsigned(field);
-    util::require(value.has_value(),
-                  [&] { return std::string(what) + " must be a comma list of node ids"; });
-    nodes.push_back(static_cast<net::NodeId>(*value));
-  }
-  return nodes;
-}
-
-std::vector<double> parse_probabilities(const std::string& text, const char* what) {
+/// A non-empty comma list of sweep values, each in [0, max]; `kind` names
+/// them in the diagnostic.
+std::vector<double> parse_axis(const std::string& text, const char* what, const char* kind,
+                               double max) {
   std::vector<double> values;
   for (const std::string& field : util::split(text, ',')) {
     const auto value = util::parse_double(field);
-    util::require(value.has_value() && *value >= 0.0 && *value <= 1.0,
-                  [&] {
-                    return std::string(what) + " must be a comma list of probabilities in [0,1]";
-                  });
+    util::require(value.has_value() && *value >= 0.0 && *value <= max,
+                  [&] { return std::string(what) + " must be a comma list of " + kind; });
     values.push_back(*value);
   }
   util::require(!values.empty(), [&] { return std::string(what) + " must not be empty"; });
   return values;
 }
 
-std::vector<double> parse_rates(const std::string& text, const char* what) {
-  std::vector<double> values;
-  for (const std::string& field : util::split(text, ',')) {
-    const auto value = util::parse_double(field);
-    util::require(value.has_value() && *value >= 0.0,
-                  [&] {
-                    return std::string(what) + " must be a comma list of non-negative rates";
-                  });
-    values.push_back(*value);
-  }
-  util::require(!values.empty(), [&] { return std::string(what) + " must not be empty"; });
-  return values;
+/// <prefix>-cell<N>.jsonl: where a cell's own artifacts go.
+std::string cell_path(const std::string& prefix, std::uint64_t cell) {
+  std::string path = prefix;  // append form: GCC 12 -Wrestrict
+  path += "-cell";
+  path += std::to_string(cell);
+  path += ".jsonl";
+  return path;
 }
-
-net::Topology build_topology(const std::string& spec) {
-  if (spec == "mci") {
-    return net::topologies::mci_backbone();
-  }
-  if (util::starts_with(spec, "line:")) {
-    return net::topologies::line(util::parse_unsigned(spec.substr(5)).value());
-  }
-  if (util::starts_with(spec, "ring:")) {
-    return net::topologies::ring(util::parse_unsigned(spec.substr(5)).value());
-  }
-  if (util::starts_with(spec, "grid:")) {
-    const auto dims = util::split(spec.substr(5), 'x');
-    util::require(dims.size() == 2, "grid spec is grid:<rows>x<cols>");
-    return net::topologies::grid(util::parse_unsigned(dims[0]).value(),
-                                 util::parse_unsigned(dims[1]).value());
-  }
-  util::require(false, "unknown topology spec '" + spec + "' (mci, line:N, ring:N, grid:RxC)");
-  util::unreachable("build_topology");
-}
-
-struct CellVerdict {
-  bool hung = false;            // the drain watchdog tripped before quiescence
-  bool leaked = false;          // reserved bandwidth, orphans, or queued repairs survived
-  bool violations = false;      // the auditor logged at least one finding
-  bool unreconciled = false;    // hop mirror != MessageCounter (when checkable)
-  bool breaker_open = false;    // a circuit breaker survived the drain Open
-  [[nodiscard]] bool clean() const {
-    return !hung && !leaked && !violations && !unreconciled && !breaker_open;
-  }
-};
 
 int run(int argc, char** argv) {
   util::CliFlags flags("chaossim",
@@ -133,7 +84,8 @@ int run(int argc, char** argv) {
   flags.add_string("scenario", "",
                    "single-scenario mode: run this scenario file (sim/scenario.h) through the"
                    " chaos oracle instead of the matrix; exit 1 on any violation");
-  flags.add_string("topology", "ring:8", "mci | line:N | ring:N | grid:RxC");
+  flags.add_string("topology", "ring:8",
+                   "mci | line:N | ring:N | star:N | grid:RxC | waxman:NxSEED | file:PATH");
   flags.add_string("group", "0,4", "anycast member routers");
   flags.add_string("sources", "1,3,5,7", "source routers");
   flags.add_string("losses", "0,0.05,0.2", "comma list of loss probabilities to sweep");
@@ -168,7 +120,6 @@ int run(int argc, char** argv) {
                    "write per-cell metrics here (.prom = Prometheus text, else JSONL); every"
                    " series carries a cell=<n> label");
   flags.add_string("spans-out", "", "write every cell's admission-decision spans here (JSONL)");
-  flags.add_bool("flight-recorder", true, "arm a per-cell fault-triggered flight recorder");
   flags.add_string("flight-prefix", "chaos-flight",
                    "flight snapshots go to <prefix>-cell<N>.jsonl");
   flags.add_unsigned("flight-depth", 256, "flight-recorder ring capacity, entries");
@@ -194,11 +145,7 @@ int run(int argc, char** argv) {
   // classified verdict. This is how a chaosfuzz-shrunk repro is re-judged
   // under the same gates CI applies to the matrix.
   if (!flags.get_string("scenario").empty()) {
-    std::ifstream scenario_file(flags.get_string("scenario"));
-    util::require(scenario_file.good(), "cannot open scenario file");
-    std::ostringstream scenario_text;
-    scenario_text << scenario_file.rdbuf();
-    const sim::Scenario scenario = sim::load_scenario(scenario_text.str());
+    const sim::Scenario scenario = sim::load_scenario_file(flags.get_string("scenario"));
     const audit::ChaosOracleOutcome outcome = audit::run_chaos_oracle(scenario);
     if (outcome.clean()) {
       std::cout << "scenario '" << scenario.name << "' clean ("
@@ -225,18 +172,56 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  const net::Topology topology = build_topology(flags.get_string("topology"));
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
   const std::vector<double> losses =
-      parse_probabilities(flags.get_string("losses"), "--losses");
-  const std::vector<double> churn_rates =
-      parse_rates(flags.get_string("churn-rates"), "--churn-rates");
-  const std::vector<double> node_mtbfs =
-      parse_rates(flags.get_string("node-mtbfs"), "--node-mtbfs");
-  // One flooding policy for the whole matrix: every cell shares the
-  // topology, so the O(diameter) convergence lag is the same for all.
-  net::FloodingReconvergence reconvergence(flags.get_double("reconverge-round"));
+      parse_axis(flags.get_string("losses"), "--losses", "probabilities in [0,1]", 1.0);
+  const std::vector<double> churn_rates = parse_axis(
+      flags.get_string("churn-rates"), "--churn-rates", "non-negative rates", kUnbounded);
+  const std::vector<double> node_mtbfs = parse_axis(
+      flags.get_string("node-mtbfs"), "--node-mtbfs", "non-negative rates", kUnbounded);
 
-  const bool flight_on = flags.get_bool("flight-recorder");
+  // What every cell shares; the loop adds the cell's axes and seed.
+  sim::Scenario base;
+  base.topology = flags.get_string("topology");
+  base.lambda = flags.get_double("lambda");
+  base.mean_holding_s = flags.get_double("holding");
+  base.flow_bandwidth_bps = flags.get_double("bandwidth");
+  base.sources = sim::parse_node_list(flags.get_string("sources"), "--sources");
+  base.group = sim::parse_node_list(flags.get_string("group"), "--group");
+  base.algorithm = "ED";  // probe-free
+  base.max_tries = 2;
+  // Zero warm-up: the MessageCounter is never reset mid-run, so the
+  // resilient protocol's hop mirror must match it exactly.
+  base.warmup_s = 0.0;
+  base.measure_s = flags.get_double("measure");
+  base.drain_to_quiescence = true;
+  base.drain_max_events = flags.get_unsigned("drain-max-events");
+  base.drain_max_sim_s = flags.get_double("drain-max-sim");
+  sim::ScenarioResilience resilience;
+  resilience.hop_delay_s = flags.get_double("hop-delay");
+  resilience.retransmit_timeout_s = flags.get_double("retransmit-timeout");
+  resilience.max_retransmits = flags.get_unsigned("max-retransmits");
+  resilience.orphan_hold_s = flags.get_double("orphan-hold");
+  base.resilience = resilience;
+  base.axes.churn_mean_down_s = flags.get_double("churn-downtime");
+  const bool adaptive = flags.get_bool("adaptive");
+  if (adaptive) {
+    // The governor's floor drops to 1 so AIMD has headroom even against
+    // this matrix's R = 2 cells, and the cooldown is short enough that
+    // mid-run trips (churn!) probe and close well before the drain.
+    sim::ScenarioGovernor governor;
+    governor.min_tries = 1;
+    governor.breaker_cooldown_s = 30.0;
+    base.governor = governor;
+  }
+
+  audit::ChaosOracleOptions oracle_options;
+  oracle_options.flight_depth = flags.get_unsigned("flight-depth");
+  // The drain watchdog is --drain-max-events/--drain-max-sim's alone:
+  // 0 keeps a cell's drain uncapped.
+  oracle_options.fallback_drain_max_events = 0;
+  oracle_options.fallback_drain_max_sim_s = 0.0;
+
   std::ofstream spans_file;
   std::unique_ptr<obs::JsonlSpanSink> shared_spans;
   if (!flags.get_string("spans-out").empty()) {
@@ -254,8 +239,6 @@ int run(int argc, char** argv) {
   std::size_t timeline_files = 0;
   std::size_t kernel_stats_files = 0;
 
-  const bool adaptive = flags.get_bool("adaptive");
-
   // One ops server spans the whole matrix: each cell re-publishes /metrics
   // with its own cell=<n> label, so a scraper watching the sweep sees the
   // running cell. The mailbox only drains into cells that carry a governor.
@@ -270,29 +253,8 @@ int run(int argc, char** argv) {
     ops_server = std::make_unique<obs::OpsServer>(server_options);
     if (adaptive) {
       ops_server->set_control_handler(
-          [&ops_mailbox](const std::string& knob_name, const std::string& body) {
-            obs::ControlOutcome outcome;
-            const std::optional<control::Knob> knob = control::parse_knob(knob_name);
-            if (!knob.has_value()) {
-              outcome.status = 404;
-              outcome.body = "{\"error\":\"unknown knob '" + util::json_escape(knob_name) +
-                             "'\"}\n";
-              return outcome;
-            }
-            const std::optional<double> value = util::parse_double(util::trim(body));
-            if (!value.has_value()) {
-              outcome.status = 422;
-              outcome.body = "{\"error\":\"body must be a single number\"}\n";
-              return outcome;
-            }
-            if (const auto error = control::validate_directive(*knob, *value)) {
-              outcome.status = 422;
-              outcome.body = "{\"error\":\"" + util::json_escape(*error) + "\"}\n";
-              return outcome;
-            }
-            ops_mailbox.post({*knob, *value});
-            outcome.body = "{\"queued\":{\"knob\":\"" + control::to_string(*knob) + "\"}}\n";
-            return outcome;
+          [&ops_mailbox](const std::string& knob, const std::string& body) {
+            return control::post_control(ops_mailbox, knob, body);
           });
     }
     ops_server->start();
@@ -316,150 +278,66 @@ int run(int argc, char** argv) {
       for (const bool faults_on : {false, true}) {
         for (const double node_mtbf : node_mtbfs) {
           ++cell;
-          sim::SimulationConfig config;
-          config.traffic.arrival_rate = flags.get_double("lambda");
-          config.traffic.mean_holding_s = flags.get_double("holding");
-          config.traffic.flow_bandwidth_bps = flags.get_double("bandwidth");
-          config.traffic.sources = parse_nodes(flags.get_string("sources"), "--sources");
-          config.group_members = parse_nodes(flags.get_string("group"), "--group");
-          config.algorithm = core::SelectionAlgorithm::kEvenDistribution;  // probe-free
-          config.max_tries = 2;
-          // Zero warm-up: the MessageCounter is never reset mid-run, so the
-          // resilient protocol's hop mirror must match it exactly.
-          config.warmup_s = 0.0;
-          config.measure_s = flags.get_double("measure");
-          config.seed = flags.get_unsigned("seed") + cell;
-          config.drain_to_quiescence = true;
-
-          signaling::ResilienceOptions resilience;
-          resilience.faults.loss_probability = loss;
-          resilience.faults.hop_delay_s = flags.get_double("hop-delay");
-          resilience.retransmit_timeout_s = flags.get_double("retransmit-timeout");
-          resilience.max_retransmits = flags.get_unsigned("max-retransmits");
-          resilience.orphan_hold_s = flags.get_double("orphan-hold");
-          config.resilience = resilience;
-
-          // All three random axes through the one shared scenario builder
-          // (churn at seed+1, link faults at seed+2, node faults at seed+3 —
-          // the same offsets every scenario file uses, so a cell's schedules
-          // are exactly reproducible from an `axes` block).
-          sim::FaultAxes axes;
-          axes.churn_rate = churn_rate;
-          axes.churn_mean_down_s = flags.get_double("churn-downtime");
+          sim::Scenario scenario = base;
+          scenario.seed = flags.get_unsigned("seed") + cell;
+          scenario.resilience->loss_probability = loss;
+          scenario.axes.churn_rate = churn_rate;
           if (faults_on) {
-            axes.link_rate = flags.get_double("fault-rate");
-            axes.link_mean_repair_s = flags.get_double("fault-repair");
+            scenario.axes.link_rate = flags.get_double("fault-rate");
+            scenario.axes.link_mean_repair_s = flags.get_double("fault-repair");
           }
-          if (node_mtbf > 0.0) {
-            axes.node_rate = 1.0 / node_mtbf;
-            axes.node_mean_repair_s = flags.get_double("node-mttr");
-          }
-          sim::ScenarioSchedules schedules = sim::scenario_schedules(
-              topology, config.group_members.size(), config.measure_s, axes, config.seed);
-          config.churn = std::move(schedules.churn);
-          config.faults = std::move(schedules.link_faults);
-          config.node_faults = std::move(schedules.node_faults);
           if (node_mtbf > 0.0) {
             // The node-fault axis runs the full failure-domain plane: router
             // crashes, flooding reconvergence, and path repair together.
-            config.reconvergence = &reconvergence;
-            config.path_repair = true;
-          }
-          config.drain_max_events = flags.get_unsigned("drain-max-events");
-          config.drain_max_sim_s = flags.get_double("drain-max-sim");
-
-          // Arm the per-cell flight recorder: spans land in its ring (teeing to
-          // the shared spans file when one is open) and snapshots buffer in
-          // memory — the file is created only if this cell actually triggers.
-          obs::DecisionTracer tracer;
-          std::ostringstream flight_buffer;
-          std::unique_ptr<obs::FlightRecorder> recorder;
-          if (flight_on) {
-            obs::FlightRecorderOptions flight_options;
-            flight_options.depth = flags.get_unsigned("flight-depth");
-            recorder = std::make_unique<obs::FlightRecorder>(flight_options);
-            recorder->set_output(&flight_buffer);
-            recorder->set_forward(shared_spans.get());  // nullptr detaches
-            tracer.set_sink(&recorder->span_sink());
-            config.tracer = &tracer;
-            config.flight_recorder = recorder.get();
-          } else if (shared_spans != nullptr) {
-            tracer.set_sink(shared_spans.get());
-            config.tracer = &tracer;
+            scenario.axes.node_rate = 1.0 / node_mtbf;
+            scenario.axes.node_mean_repair_s = flags.get_double("node-mttr");
+            scenario.reconvergence =
+                sim::ScenarioReconvergence{"flooding", flags.get_double("reconverge-round")};
+            scenario.path_repair = true;
           }
 
-          // The governor rides along when --adaptive is set: its floor drops to
-          // 1 so AIMD has headroom even against this matrix's R = 2 cells, and
-          // the cooldown is short enough that mid-run trips (churn!) probe and
-          // close well before the drain.
-          std::unique_ptr<control::OverloadGovernor> governor;
-          if (adaptive) {
-            control::GovernorOptions governor_options;
-            governor_options.min_tries = 1;
-            governor_options.breaker.cooldown_s = 30.0;
-            governor = std::make_unique<control::OverloadGovernor>(governor_options);
-            config.governor = governor.get();
-          }
-
-          if (ops_server != nullptr) {
-            config.ops_server = ops_server.get();
-            config.ops_labels = {{"cell", std::to_string(cell)}};
-            if (governor != nullptr) {
-              config.ops_mailbox = &ops_mailbox;
-            }
-          }
-
+          // Lower, attach this cell's observers through the lowered config,
+          // then let the oracle run and classify the cell.
           std::unique_ptr<obs::KernelStats> kernel_stats;
           if (!flags.get_string("kernel-stats-prefix").empty()) {
             kernel_stats = std::make_unique<obs::KernelStats>();
-            config.kernel_stats = kernel_stats.get();
           }
-
           std::unique_ptr<obs::Timeline> timeline;
           if (!flags.get_string("timeline-prefix").empty()) {
             obs::TimelineOptions timeline_options;
             timeline_options.interval_s = flags.get_double("timeline-interval");
             timeline = std::make_unique<obs::Timeline>(timeline_options);
+          }
+          audit::ChaosOracle oracle(scenario, oracle_options);
+          if (sim::ScenarioRun* lowered = oracle.run(); lowered != nullptr) {
+            sim::SimulationConfig& config = lowered->config;
+            config.flight_recorder->set_forward(shared_spans.get());  // nullptr: ring only
+            config.kernel_stats = kernel_stats.get();
             config.timeline = timeline.get();
+            if (ops_server != nullptr) {
+              config.ops_server = ops_server.get();
+              config.ops_labels = {{"cell", std::to_string(cell)}};
+              if (lowered->governor != nullptr) {
+                config.ops_mailbox = &ops_mailbox;
+              }
+            }
           }
-
-          sim::Simulation simulation(topology, config);
-          audit::AuditorOptions audit_options;
-          audit_options.throw_on_violation = false;  // survey the whole matrix
-          audit_options.checkpoint_interval_s = 50.0;
-          audit::InvariantAuditor auditor(audit_options);
-          auditor.attach(simulation);
-          if (recorder != nullptr) {
-            auditor.set_violation_hook([&recorder](const audit::Violation& violation) {
-              recorder->trigger(violation.sim_time, "audit " + audit::to_string(violation.check));
-            });
-          }
-          const sim::SimulationResult result = simulation.run();
-          spans_emitted += tracer.spans_emitted();
-
-          CellVerdict verdict;
-          verdict.hung = simulation.drain_watchdog().tripped;
-          auto* resilient = simulation.resilient();
-          util::ensure(resilient != nullptr, "chaos cells always run resilient");
-          if (simulation.ledger().total_reserved() > 0.0 || simulation.active_flows() > 0 ||
-              resilient->pending_orphans() > 0 || simulation.pending_repairs() > 0) {
-            verdict.leaked = true;
-            // Documented leak repair: reclaim whatever soft state survived the
-            // drain so the next cell's numbers are not polluted. The cell still
-            // fails — a drained run must not need this.
-            (void)resilient->reclaim_pending();
-          }
-          verdict.violations = !auditor.log().empty();
-          verdict.unreconciled =
-              result.resilience.hops_counted != result.messages.total();
-          // Cooldown timers are one-shot and fire through the drain, so an Open
-          // breaker at quiescence means the half-open path broke — a CI-grade
-          // failure, same as a ledger leak.
-          verdict.breaker_open = governor != nullptr && governor->open_breakers() > 0;
-          if (!verdict.clean()) {
+          const audit::ChaosOracleOutcome outcome = oracle.judge();
+          // A cell rejected before it ran means bad flags, not a finding.
+          util::require(!util::starts_with(outcome.violation_class, "invalid:"),
+                        [&] { return outcome.violation_class.substr(8); });
+          spans_emitted += oracle.tracer().spans_emitted();
+          if (!outcome.clean()) {
             ++failures;
           }
 
+          const sim::SimulationResult& result = outcome.result;
+          const control::OverloadGovernor* governor = oracle.run()->governor.get();
+          const std::size_t pending_repairs = oracle.simulation()->pending_repairs();
+          const bool leaked = util::starts_with(outcome.violation_class, "leak:");
+          const bool violations = util::starts_with(outcome.violation_class, "audit:");
+          const bool unreconciled = outcome.violation_class == "unreconciled";
+          const bool breaker_open = outcome.violation_class == "breaker-open";
           std::ostringstream drops;
           drops << result.dropped_by_fault << "/" << result.dropped_by_churn;
           std::ostringstream failover;
@@ -486,64 +364,44 @@ int run(int argc, char** argv) {
                          std::to_string(result.resilience.retransmits),
                          std::to_string(result.resilience.orphans_reclaimed), drops.str(),
                          failover.str(), repair.str(), gov.str(),
-                         verdict.clean() ? "clean"
-                                         : (std::string(verdict.hung ? " hang" : "") +
-                                            (verdict.leaked ? " leak" : "") +
-                                            (verdict.violations ? " audit" : "") +
-                                            (verdict.unreconciled ? " msgs" : "") +
-                                            (verdict.breaker_open ? " breaker" : ""))});
+                         outcome.clean() ? "clean" : outcome.violation_class});
           csv << loss << ',' << churn_rate << ',' << (faults_on ? 1 : 0) << ',' << node_mtbf
               << ',' << result.admission_probability << ',' << result.resilience.retransmits
               << ',' << result.resilience.orphans_reclaimed << ',' << result.dropped_by_fault
               << ',' << result.dropped_by_churn << ',' << result.failover_admitted << ','
               << result.failover_attempts << ',' << result.node_outages << ','
               << result.reconvergences << ',' << result.repaired << ','
-              << result.unrepairable << ',' << simulation.pending_repairs() << ','
+              << result.unrepairable << ',' << pending_repairs << ','
               << (governor != nullptr ? 1 : 0) << ','
-              << (governor != nullptr ? governor->effective_max_tries() : config.max_tries)
+              << (governor != nullptr ? governor->effective_max_tries() : scenario.max_tries)
               << ',' << (governor != nullptr ? governor->stats().breaker_trips : 0) << ','
-              << (verdict.breaker_open ? 1 : 0) << ',' << result.shed << ','
-              << (verdict.leaked ? 1 : 0) << ',' << (verdict.violations ? 1 : 0) << ','
-              << (verdict.unreconciled ? 1 : 0) << "\n";
-          if (verdict.violations) {
+              << (breaker_open ? 1 : 0) << ',' << result.shed << ',' << (leaked ? 1 : 0) << ','
+              << (violations ? 1 : 0) << ',' << (unreconciled ? 1 : 0) << "\n";
+          if (!outcome.audit_log.empty()) {
             std::cerr << "audit findings (loss=" << loss << " churn=" << churn_rate
                       << " faults=" << (faults_on ? "on" : "off")
                       << " node_mtbf=" << node_mtbf << "):\n"
-                      << auditor.log().to_text();
+                      << outcome.audit_log;
           }
-          if (registry != nullptr) {
-            sim::export_metrics(simulation, config, result, *registry,
+          if (registry != nullptr && outcome.ran) {
+            sim::export_metrics(*oracle.simulation(), oracle.run()->config, result, *registry,
                                 {{"cell", std::to_string(cell)}});
           }
-          if (recorder != nullptr) {
-            flight_triggers += recorder->triggers();
-            if (recorder->dumps_written() > 0) {
-              std::string path = flags.get_string("flight-prefix");
-              path += "-cell";
-              path += std::to_string(cell);
-              path += ".jsonl";
-              std::ofstream dump(path);
-              util::require(dump.good(), "cannot open flight dump file");
-              dump << flight_buffer.str();
-              flight_files.push_back(std::move(path));
-            }
+          flight_triggers += oracle.recorder().triggers();
+          if (!outcome.flight_dump.empty()) {
+            flight_files.push_back(cell_path(flags.get_string("flight-prefix"), cell));
+            std::ofstream dump(flight_files.back());
+            util::require(dump.good(), "cannot open flight dump file");
+            dump << outcome.flight_dump;
           }
           if (timeline != nullptr) {
-            std::string path = flags.get_string("timeline-prefix");
-            path += "-cell";
-            path += std::to_string(cell);
-            path += ".jsonl";
-            std::ofstream out(path);
+            std::ofstream out(cell_path(flags.get_string("timeline-prefix"), cell));
             util::require(out.good(), "cannot open timeline file");
             timeline->write_jsonl(out);
             ++timeline_files;
           }
           if (kernel_stats != nullptr) {
-            std::string path = flags.get_string("kernel-stats-prefix");
-            path += "-cell";
-            path += std::to_string(cell);
-            path += ".jsonl";
-            std::ofstream out(path);
+            std::ofstream out(cell_path(flags.get_string("kernel-stats-prefix"), cell));
             util::require(out.good(), "cannot open kernel-stats file");
             kernel_stats->write_jsonl(out);
             ++kernel_stats_files;
@@ -580,14 +438,12 @@ int run(int argc, char** argv) {
     std::cout << "spans written to " << flags.get_string("spans-out") << " (" << spans_emitted
               << " spans)\n";
   }
-  if (flight_on) {
-    std::cout << "flight recorder   " << flight_triggers << " triggers, "
-              << flight_files.size() << " cells dumped";
-    for (const std::string& path : flight_files) {
-      std::cout << " " << path;
-    }
-    std::cout << "\n";
+  std::cout << "flight recorder   " << flight_triggers << " triggers, " << flight_files.size()
+            << " cells dumped";
+  for (const std::string& path : flight_files) {
+    std::cout << " " << path;
   }
+  std::cout << "\n";
   if (timeline_files > 0) {
     std::cout << "timelines written to " << flags.get_string("timeline-prefix")
               << "-cell<N>.jsonl (" << timeline_files << " cells)\n";

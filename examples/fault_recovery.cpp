@@ -1,18 +1,17 @@
 // Fault recovery time series: what an outage looks like to an anycast
 // service, minute by minute.
 //
-// Runs the paper model with one scheduled backbone outage, attaches a
-// TimeSeriesProbe to the simulation kernel, and prints an ASCII strip chart
-// of active flows and mean link utilization around the failure/repair —
-// the view an operator's dashboard would show. Also demonstrates the CSV
-// trace hook for offline analysis.
+// Runs the paper model with one scheduled backbone outage, samples it with
+// the windowed telemetry timeline (obs/timeline.h) plus one custom gauge,
+// and prints an ASCII strip chart of active flows and mean link utilization
+// around the failure/repair — the view an operator's dashboard would show.
 //
 //   $ ./fault_recovery --fail-at=3000 --repair-at=4500
 #include <iostream>
 
+#include "src/obs/timeline.h"
 #include "src/sim/experiment.h"
 #include "src/sim/faults.h"
-#include "src/sim/timeseries.h"
 #include "src/util/cli.h"
 #include "src/util/strings.h"
 
@@ -20,24 +19,31 @@ namespace {
 
 using namespace anyqos;
 
-void strip_chart(const sim::TimeSeries& series, double fail_at, double repair_at) {
+/// Charts the timeline column `name`, one row per sample.
+void strip_chart(const obs::Timeline& timeline, const std::string& name, double fail_at,
+                 double repair_at) {
+  std::size_t column = 0;
+  while (timeline.columns()[column].name != name) {
+    ++column;
+  }
   double peak = 1.0;
-  for (const double v : series.values) {
-    peak = std::max(peak, v);
+  for (const obs::TimelineSample& sample : timeline.samples()) {
+    peak = std::max(peak, sample.values[column]);
   }
   constexpr int kWidth = 60;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const int bar = static_cast<int>(series.values[i] / peak * kWidth);
+  for (const obs::TimelineSample& sample : timeline.samples()) {
+    const double value = sample.values[column];
+    const int bar = static_cast<int>(value / peak * kWidth);
     std::string line(static_cast<std::size_t>(bar), '#');
-    const double t = series.times[i];
+    const double t = sample.time;
     const char* marker = "";
     if (t >= fail_at && t < fail_at + 120.0) {
       marker = "  <- LINK DOWN";
     } else if (t >= repair_at && t < repair_at + 120.0) {
       marker = "  <- REPAIRED";
     }
-    std::cout << util::format_fixed(t, 0) << "s\t" << line
-              << " " << util::format_fixed(series.values[i], 0) << marker << "\n";
+    std::cout << util::format_fixed(t, 0) << "s\t" << line << " " << util::format_fixed(value, 0)
+              << marker << "\n";
   }
 }
 
@@ -68,28 +74,27 @@ int main(int argc, char** argv) {
   // Kill the busiest central link (CHI-DCA in the MCI-like map).
   config.faults.push_back(sim::single_fault(8, 12, fail_at, repair_at));
 
+  obs::TimelineOptions timeline_options;
+  timeline_options.interval_s = flags.get_double("sample");
+  obs::Timeline timeline(timeline_options);
+  config.timeline = &timeline;
   sim::Simulation simulation(model.topology, config);
-  sim::TimeSeriesProbe probe(simulation.simulator(), 0.0, flags.get_double("sample"));
-  probe.add_gauge("active_flows",
-                  [&] { return static_cast<double>(simulation.active_flows()); });
-  probe.add_gauge("mean_utilization", [&] {
+  // active_flows is a standard column; mean utilization is a custom gauge.
+  timeline.add_gauge("mean_utilization_pct", [&] {
     double total = 0.0;
     for (net::LinkId id = 0; id < model.topology.link_count(); ++id) {
       total += simulation.ledger().utilization(id);
     }
     return 100.0 * total / static_cast<double>(model.topology.link_count());
   });
-  probe.arm();
-
   const sim::SimulationResult result = simulation.run();
-  probe.disarm();
 
   std::cout << "Outage of link CHI-DCA from t=" << fail_at << "s to t=" << repair_at
             << "s under <WD/D+H,2> at lambda=" << flags.get_double("lambda") << "/s\n\n"
             << "Active flows over time:\n";
-  strip_chart(probe.series("active_flows"), fail_at, repair_at);
+  strip_chart(timeline, "active_flows", fail_at, repair_at);
   std::cout << "\nMean link utilization (%) over time:\n";
-  strip_chart(probe.series("mean_utilization"), fail_at, repair_at);
+  strip_chart(timeline, "mean_utilization_pct", fail_at, repair_at);
   std::cout << "\nRun summary: AP " << util::format_fixed(result.admission_probability, 4)
             << ", dropped by the outage " << result.dropped << " flows, avg tries "
             << util::format_fixed(result.average_attempts, 3) << "\n"

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "src/obs/ops_server.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
@@ -130,6 +131,32 @@ std::vector<ControlDirective> DirectiveMailbox::drain() {
 std::uint64_t DirectiveMailbox::posted() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return posted_;
+}
+
+obs::ControlOutcome post_control(DirectiveMailbox& mailbox, const std::string& knob_name,
+                                 const std::string& body) {
+  obs::ControlOutcome outcome;
+  const std::optional<Knob> knob = parse_knob(knob_name);
+  if (!knob.has_value()) {
+    outcome.status = 404;
+    outcome.body = "{\"error\":\"unknown knob '" + util::json_escape(knob_name) + "'\"}\n";
+    return outcome;
+  }
+  const std::optional<double> value = util::parse_double(util::trim(body));
+  if (!value.has_value()) {
+    outcome.status = 422;
+    outcome.body = "{\"error\":\"body must be a single number\"}\n";
+    return outcome;
+  }
+  if (const auto error = validate_directive(*knob, *value)) {
+    outcome.status = 422;
+    outcome.body = "{\"error\":\"" + util::json_escape(*error) + "\"}\n";
+    return outcome;
+  }
+  mailbox.post({*knob, *value});
+  outcome.body = "{\"queued\":{\"knob\":\"" + to_string(*knob) +
+                 "\",\"value\":" + std::string(util::trim(body)) + "}}\n";
+  return outcome;
 }
 
 void OpsLogWriter::record(double sim_time, const ControlDirective& directive,

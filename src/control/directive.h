@@ -24,6 +24,10 @@
 #include <string_view>
 #include <vector>
 
+namespace anyqos::obs {
+struct ControlOutcome;
+}  // namespace anyqos::obs
+
 namespace anyqos::control {
 
 /// The governor knobs addressable at runtime; each maps 1:1 to a
@@ -79,6 +83,15 @@ class DirectiveMailbox {
   std::vector<ControlDirective> pending_;
   std::uint64_t posted_ = 0;
 };
+
+/// The ops server's POST /control/<knob> handler (install it with
+/// obs::OpsServer::set_control_handler). Answers 404 for an unknown knob
+/// and 422 for a body that is not a single number or a value outside the
+/// knob's domain; otherwise posts the directive into `mailbox` and answers
+/// 200 with {"queued":{"knob":"<name>","value":<body>}}. Runs on the accept
+/// thread: parsing, validation and the mailbox post only.
+obs::ControlOutcome post_control(DirectiveMailbox& mailbox, const std::string& knob_name,
+                                 const std::string& body);
 
 /// Appends applied directives as JSONL, one object per line:
 ///   {"ops":"directive","t":<DES seconds>,"knob":"<name>",

@@ -161,7 +161,7 @@ ReservationResult ResilientReservationProtocol::reserve(const net::Path& route,
 void ResilientReservationProtocol::teardown(const net::Path& route, net::Bandwidth bandwidth) {
   // TEAR travels downstream; RSVP teardown is unacknowledged, so a lost TEAR
   // is never retransmitted — the leaked reservation waits for soft-state
-  // expiry (or for the InvariantAuditor-driven reclaim_pending()).
+  // expiry (or for an explicit reclaim_pending()).
   std::uint64_t hops = 0;
   bool died = false;
   for (const net::LinkId id : route.links) {

@@ -97,8 +97,8 @@ class ResilientReservationProtocol final : public ReservationProtocol {
   [[nodiscard]] net::Bandwidth orphaned_bandwidth_bps() const;
 
   /// Leak repair: releases every pending orphan immediately (cancelling its
-  /// timer) and returns how many were reclaimed. The chaos harness calls
-  /// this when the InvariantAuditor reports open reservations at quiescence.
+  /// timer) and returns how many were reclaimed. A drained run must not
+  /// need it: the chaos oracle fails a cell with orphans left at quiescence.
   std::size_t reclaim_pending();
 
   /// Observer for the two diagnosable give-up moments of the recovery

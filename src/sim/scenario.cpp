@@ -1,11 +1,14 @@
 #include "src/sim/scenario.h"
 
 #include <cmath>
+#include <fstream>
 #include <initializer_list>
+#include <sstream>
 #include <utility>
 
 #include "src/core/selector.h"
 #include "src/net/topologies.h"
+#include "src/net/topology_io.h"
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
@@ -121,32 +124,48 @@ bool axes_enabled(const FaultAxes& axes) {
 }  // namespace
 
 net::Topology build_scenario_topology(const std::string& spec) {
+  const auto bad_spec = [&spec] {
+    std::string message = "bad topology spec '";  // append form: GCC 12 -Wrestrict
+    message += spec;
+    message += "' (mci, line:N, ring:N, star:N, grid:RxC, waxman:NxSEED, file:PATH)";
+    return message;
+  };
+  // The 'x'-separated sizes after a "<family>:" prefix: exactly `count`
+  // non-negative integers, else the spec is rejected by name.
+  const auto sizes = [&](std::size_t prefix, std::size_t count) {
+    std::vector<std::size_t> values;
+    for (const std::string& field : util::split(std::string_view(spec).substr(prefix), 'x')) {
+      const auto value = util::parse_unsigned(field);
+      util::require(value.has_value(), bad_spec);
+      values.push_back(static_cast<std::size_t>(*value));
+    }
+    util::require(values.size() == count, bad_spec);
+    return values;
+  };
   if (spec == "mci") {
     return net::topologies::mci_backbone();
   }
+  if (util::starts_with(spec, "file:")) {
+    return net::load_topology(spec.substr(5));
+  }
   if (util::starts_with(spec, "line:")) {
-    return net::topologies::line(util::parse_unsigned(spec.substr(5)).value());
+    return net::topologies::line(sizes(5, 1)[0]);
   }
   if (util::starts_with(spec, "ring:")) {
-    return net::topologies::ring(util::parse_unsigned(spec.substr(5)).value());
+    return net::topologies::ring(sizes(5, 1)[0]);
   }
   if (util::starts_with(spec, "star:")) {
-    return net::topologies::star(util::parse_unsigned(spec.substr(5)).value());
+    return net::topologies::star(sizes(5, 1)[0]);
   }
   if (util::starts_with(spec, "grid:")) {
-    const auto dims = util::split(spec.substr(5), 'x');
-    util::require(dims.size() == 2, "grid spec is grid:<rows>x<cols>");
-    return net::topologies::grid(util::parse_unsigned(dims[0]).value(),
-                                 util::parse_unsigned(dims[1]).value());
+    const std::vector<std::size_t> dims = sizes(5, 2);
+    return net::topologies::grid(dims[0], dims[1]);
   }
   if (util::starts_with(spec, "waxman:")) {
-    const auto parts = util::split(spec.substr(7), 'x');
-    util::require(parts.size() == 2, "waxman spec is waxman:<n>x<seed>");
-    return net::topologies::waxman(util::parse_unsigned(parts[0]).value(), 0.6, 0.5,
-                                   util::parse_unsigned(parts[1]).value());
+    const std::vector<std::size_t> parts = sizes(7, 2);
+    return net::topologies::waxman(parts[0], 0.6, 0.5, parts[1]);
   }
-  util::require(false, "unknown topology spec '" + spec +
-                           "' (mci, line:N, ring:N, star:N, grid:RxC, waxman:NxSEED)");
+  util::require(false, bad_spec);
   util::unreachable("build_scenario_topology");
 }
 
@@ -488,6 +507,25 @@ std::string save_scenario(const Scenario& scenario) {
 
 Scenario load_scenario(std::string_view text) {
   return scenario_from_json(util::parse_json(text));
+}
+
+Scenario load_scenario_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  util::require(in.good(), [&] { return "cannot open scenario file: " + path; });
+  std::ostringstream text;
+  text << in.rdbuf();
+  return load_scenario(text.str());
+}
+
+std::vector<net::NodeId> parse_node_list(std::string_view text, std::string_view what) {
+  std::vector<net::NodeId> nodes;
+  for (const std::string& field : util::split(text, ',')) {
+    const auto value = util::parse_unsigned(field);
+    util::require(value.has_value(),
+                  [&] { return std::string(what) + " must be a comma list of node ids"; });
+    nodes.push_back(static_cast<net::NodeId>(*value));
+  }
+  return nodes;
 }
 
 void materialize_random_axes(Scenario& scenario, const net::Topology& topology) {

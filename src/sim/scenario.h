@@ -8,8 +8,9 @@
 // replayed ops directives. Save -> load -> run is byte-identical to the
 // in-memory run (tested), so any run — a hand-written experiment, a CI
 // chaos cell, or a chaosfuzz-shrunk repro — is a committed, replayable
-// artifact. `dacsim --scenario`, `chaossim --scenario`, and tools/chaosfuzz
-// all consume this plane; scripts/check-scenario.py lints the format.
+// artifact. make_scenario_run is the only lowering onto SimulationConfig:
+// dacsim (its flags or --scenario), every chaossim cell, and tools/chaosfuzz
+// all go through it; scripts/check-scenario.py lints the format.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +132,10 @@ struct Scenario {
 };
 
 /// Builds a topology from a scenario spec: "mci", "line:N", "ring:N",
-/// "star:N", "grid:RxC", "waxman:NxSEED". Shared with dacsim's --topology.
+/// "star:N", "grid:RxC", "waxman:NxSEED", or "file:PATH" (topology_io.h).
+/// The one spec parser behind every front end's --topology. Throws
+/// std::invalid_argument naming the spec when it is unknown or a size is
+/// missing or non-numeric.
 net::Topology build_scenario_topology(const std::string& spec);
 
 /// Scenario -> JSON document (fixed key order, round-trip-exact numbers;
@@ -146,6 +150,13 @@ Scenario scenario_from_json(const util::JsonValue& document);
 std::string save_scenario(const Scenario& scenario);
 /// Parses + validates scenario file text.
 Scenario load_scenario(std::string_view text);
+/// Reads and loads the scenario file at `path` (std::invalid_argument when
+/// it cannot be opened).
+Scenario load_scenario_file(const std::string& path);
+
+/// Parses a comma list of node ids (the front ends' --group/--sources
+/// format); std::invalid_argument naming `what` on anything else.
+std::vector<net::NodeId> parse_node_list(std::string_view text, std::string_view what);
 
 /// Expands the random axes into the explicit entry lists (via the shared
 /// scenario_schedules builder on `topology`) and zeroes the axes, so every

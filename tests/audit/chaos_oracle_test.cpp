@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "src/obs/timeline.h"
 #include "src/sim/faults.h"
 #include "src/sim/trace.h"
 
@@ -96,6 +97,40 @@ TEST(ChaosOracle, ForwardsTraceSink) {
   const ChaosOracleOutcome outcome = run_chaos_oracle(clean_scenario(), options);
   EXPECT_TRUE(outcome.clean());
   EXPECT_GT(trace.events().size(), 0U);
+}
+
+TEST(ChaosOracle, StepwiseJudgeWithAttachmentsMatchesOneCallForm) {
+  const ChaosOracleOutcome plain = run_chaos_oracle(clean_scenario());
+
+  ChaosOracle oracle(clean_scenario());
+  ASSERT_NE(oracle.run(), nullptr);
+  EXPECT_NE(oracle.run()->config.flight_recorder, nullptr);
+  EXPECT_NE(oracle.run()->config.tracer, nullptr);
+  obs::Timeline timeline;
+  oracle.run()->config.timeline = &timeline;
+  const ChaosOracleOutcome outcome = oracle.judge();
+
+  EXPECT_EQ(outcome.violation_class, plain.violation_class);
+  EXPECT_EQ(outcome.result.offered, plain.result.offered);
+  EXPECT_EQ(outcome.result.admitted, plain.result.admitted);
+  EXPECT_EQ(outcome.flight_dump, plain.flight_dump);
+  EXPECT_FALSE(timeline.samples().empty());
+  ASSERT_NE(oracle.simulation(), nullptr);
+  EXPECT_EQ(oracle.simulation()->active_flows(), 0U);
+  EXPECT_GT(oracle.recorder().triggers(), 0U);  // the link fault
+  EXPECT_GT(oracle.tracer().spans_emitted(), 0U);
+}
+
+TEST(ChaosOracle, RejectedScenarioHasNoRunToAttachTo) {
+  sim::Scenario scenario = clean_scenario();
+  scenario.topology = "ring:x";
+  ChaosOracle oracle(scenario);
+  EXPECT_EQ(oracle.run(), nullptr);
+  const ChaosOracleOutcome outcome = oracle.judge();
+  EXPECT_EQ(outcome.violation_class.rfind("invalid:bad topology spec 'ring:x'", 0), 0U)
+      << outcome.violation_class;
+  EXPECT_FALSE(outcome.ran);
+  EXPECT_EQ(oracle.simulation(), nullptr);
 }
 
 }  // namespace

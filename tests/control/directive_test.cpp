@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "src/control/governor.h"
+#include "src/obs/ops_server.h"
 
 namespace anyqos::control {
 namespace {
@@ -63,6 +64,45 @@ TEST(Mailbox, DrainsInPostOrderAndCounts) {
   EXPECT_EQ(drained[1].knob, Knob::kRetrialCeiling);
   EXPECT_TRUE(mailbox.drain().empty());  // drain takes everything
   EXPECT_EQ(mailbox.posted(), 2u);
+}
+
+TEST(PostControl, UnknownKnobIs404AndPostsNothing) {
+  DirectiveMailbox mailbox;
+  const obs::ControlOutcome outcome = post_control(mailbox, "retries", "2");
+  EXPECT_EQ(outcome.status, 404);
+  EXPECT_EQ(outcome.body, "{\"error\":\"unknown knob 'retries'\"}\n");
+  EXPECT_EQ(mailbox.posted(), 0U);
+}
+
+TEST(PostControl, NonNumberBodyIs422) {
+  DirectiveMailbox mailbox;
+  for (const std::string body : {"", "five", "5 6", "5x"}) {
+    const obs::ControlOutcome outcome = post_control(mailbox, "shed-budget", body);
+    EXPECT_EQ(outcome.status, 422) << body;
+    EXPECT_EQ(outcome.body, "{\"error\":\"body must be a single number\"}\n") << body;
+  }
+  EXPECT_EQ(mailbox.posted(), 0U);
+}
+
+TEST(PostControl, OutOfDomainValueIs422WithTheValidatorsMessage) {
+  DirectiveMailbox mailbox;
+  const obs::ControlOutcome outcome = post_control(mailbox, "retrial-ceiling", "0");
+  EXPECT_EQ(outcome.status, 422);
+  const auto error = validate_directive(Knob::kRetrialCeiling, 0.0);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(outcome.body, "{\"error\":\"" + *error + "\"}\n");
+  EXPECT_EQ(mailbox.posted(), 0U);
+}
+
+TEST(PostControl, ValidDirectiveIsQueuedAndEchoed) {
+  DirectiveMailbox mailbox;
+  const obs::ControlOutcome outcome = post_control(mailbox, "shed-budget", " 5\n");
+  EXPECT_EQ(outcome.status, 200);
+  EXPECT_EQ(outcome.body, "{\"queued\":{\"knob\":\"shed-budget\",\"value\":5}}\n");
+  const std::vector<ControlDirective> drained = mailbox.drain();
+  ASSERT_EQ(drained.size(), 1U);
+  EXPECT_EQ(drained[0].knob, Knob::kShedBudget);
+  EXPECT_EQ(drained[0].value, 5.0);
 }
 
 TEST(OpsLog, WritesOneJsonObjectPerDirective) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -142,6 +143,32 @@ TEST(Scenario, BuildsEveryTopologyFamily) {
   EXPECT_EQ(build_scenario_topology("grid:2x3").router_count(), 6U);
   EXPECT_THROW(build_scenario_topology("torus:4"), std::invalid_argument);
   EXPECT_THROW(build_scenario_topology("grid:4"), std::invalid_argument);
+}
+
+TEST(Scenario, RejectsBadTopologySpecsByName) {
+  for (const std::string spec :
+       {"ring:x", "ring:", "line:-3", "star:3x4", "grid:3", "grid:3xb", "waxman:5", "torus:4"}) {
+    try {
+      (void)build_scenario_topology(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + spec + "'"), std::string::npos)
+          << spec << ": " << error.what();
+    }
+  }
+}
+
+TEST(Scenario, FileSpecLoadsATopologyFile) {
+  const std::string path = ::testing::TempDir() + "scenario_test_triangle.topo";
+  {
+    std::ofstream out(path);
+    out << "node 0 A\nnode 1 B\nnode 2 C\n"
+           "link 0 1 100000000\nlink 1 2 100000000\nlink 2 0 100000000\n";
+  }
+  const net::Topology topology = build_scenario_topology("file:" + path);
+  EXPECT_EQ(topology.router_count(), 3U);
+  EXPECT_EQ(topology.duplex_link_count(), 3U);
+  EXPECT_THROW(build_scenario_topology("file:" + path + ".missing"), std::invalid_argument);
 }
 
 TEST(Scenario, MakeScenarioRunValidatesCrossFieldConstraints) {

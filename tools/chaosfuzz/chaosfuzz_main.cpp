@@ -29,7 +29,7 @@ namespace {
 using anyqos::audit::ChaosOracleOptions;
 using anyqos::audit::ChaosOracleOutcome;
 using anyqos::audit::run_chaos_oracle;
-using anyqos::sim::load_scenario;
+using anyqos::sim::load_scenario_file;
 using anyqos::sim::save_scenario;
 using anyqos::sim::Scenario;
 
@@ -39,16 +39,6 @@ void write_file(const std::string& path, const std::string& contents) {
     throw std::invalid_argument("cannot open for writing: " + path);
   }
   out << contents;
-}
-
-Scenario read_scenario(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::invalid_argument("cannot open scenario file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return load_scenario(buffer.str());
 }
 
 /// Writes the repro triple: scenario JSON, flight-recorder JSONL, flow trace
@@ -118,7 +108,7 @@ int run(int argc, const char* const* argv) {
   oracle.defeat_duplex_idempotency = flags.get_bool("defeat-duplex-idempotency");
 
   if (!flags.get_string("replay").empty()) {
-    const Scenario scenario = read_scenario(flags.get_string("replay"));
+    const Scenario scenario = load_scenario_file(flags.get_string("replay"));
     std::ostringstream trace_csv;
     anyqos::sim::CsvTraceSink trace(trace_csv);
     oracle.trace = &trace;
@@ -133,7 +123,7 @@ int run(int argc, const char* const* argv) {
 
   const Scenario base = flags.get_string("base").empty()
                             ? anyqos::chaosfuzz::default_base_scenario()
-                            : read_scenario(flags.get_string("base"));
+                            : load_scenario_file(flags.get_string("base"));
   anyqos::chaosfuzz::FuzzOptions options;
   options.seed = flags.get_unsigned("seed");
   options.iterations = flags.get_unsigned("iterations");
