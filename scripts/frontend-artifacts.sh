@@ -15,10 +15,10 @@
 #   diff -r out-before out-after
 #
 # shows every artifact a front-end change moved. Wall-clock output is left
-# out: profile.json, the profiler's anyqos_engine_* series in metrics.prom,
-# the profile lines of stdout, and the live ops leg. The ops replay leg is
-# fed a fixed recorded ops log instead. Every invocation runs with relative
-# paths from inside OUT_DIR, so printed paths match across trees.
+# out: profile.json, the wall-time line of --profile's stdout summary, and
+# the live ops leg. The ops replay leg is fed a fixed recorded ops log
+# instead. Every invocation runs with relative paths from inside OUT_DIR, so
+# printed paths match across trees.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -42,24 +42,16 @@ run() {
   echo "$status" >"$name.exit"
 }
 
-# Drops the wall-clock profiler series (HELP/TYPE lines included).
-strip_profiler_series() {
-  grep -v 'anyqos_engine_' "$1" >"$1.tmp" || true
-  mv "$1.tmp" "$1"
-}
-
 CI_RUN=(--lambda=20 --warmup=100 --measure=500 --fault-rate=0.0002 --churn-rate=0.002)
 
-# --- ci.yml: observability artifacts (profile output dropped) ---
+# --- ci.yml: observability artifacts (wall-time output dropped) ---
 mkdir -p obs
 run obs/obs "$DACSIM" "${CI_RUN[@]}" \
   --metrics-out=obs/metrics.prom --spans-out=obs/spans.jsonl \
   --timeline-out=obs/timeline.jsonl --timeline-interval=50 \
   --flight-recorder=obs/flight.jsonl --profile --profile-out=obs/profile.json
 rm -f obs/profile.json
-strip_profiler_series obs/metrics.prom
-grep -v -e '^engine profile' -e '^phases ' -e '^profile written' obs/obs.stdout \
-  >obs/obs.stdout.tmp || true
+grep -v '^engine profile' obs/obs.stdout >obs/obs.stdout.tmp || true
 mv obs/obs.stdout.tmp obs/obs.stdout
 
 # --- ci.yml: timeline determinism rerun ---

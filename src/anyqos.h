@@ -11,7 +11,7 @@
 //   anyqos::stats      accumulators, confidence intervals, quantiles
 //   anyqos::des        discrete-event kernel + reproducible RNG streams
 //   anyqos::net        topology, bandwidth ledger, routing (+DV/LS protocols)
-//   anyqos::obs        metrics registry, decision spans, engine profiler
+//   anyqos::obs        metrics registry, decision spans, timeline, kernel stats
 //   anyqos::sched      WFQ / Virtual Clock packet schedulers
 //   anyqos::signaling  RSVP-like reservation, probes, soft state
 //   anyqos::core       the DAC procedure, selectors, baselines, QoS mapping
@@ -57,7 +57,6 @@
 #include "src/net/topology.h"
 #include "src/net/topology_io.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/profiler.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/timeline.h"
@@ -74,13 +73,11 @@
 #include "src/sim/metrics.h"
 #include "src/sim/metrics_export.h"
 #include "src/sim/multi_group.h"
-#include "src/sim/replicate.h"
 #include "src/sim/simulation.h"
 #include "src/sim/trace.h"
 #include "src/sim/traffic.h"
 #include "src/stats/accumulator.h"
 #include "src/stats/confidence.h"
-#include "src/stats/fairness.h"
 #include "src/stats/histogram.h"
 #include "src/stats/quantile.h"
 #include "src/stats/time_weighted.h"

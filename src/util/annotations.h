@@ -2,15 +2,15 @@
 //
 // The determinism contract over src/ is machine-enforced: detlint scans the
 // tree and fails CI on any unsuppressed finding. Real exceptions exist — the
-// wall-clock engine profiler is the canonical one — and they are documented
-// where they live with ANYQOS_DETLINT_ALLOW(rule, "reason"). The macro
-// compiles away to a compile-time check that the reason is non-empty, so a
-// suppression can never silently lose its justification.
+// ops server's wall-clock /healthz rate is the canonical one — and they are
+// documented where they live with ANYQOS_DETLINT_ALLOW(rule, "reason"). The
+// macro compiles away to a compile-time check that the reason is non-empty,
+// so a suppression can never silently lose its justification.
 //
 // Usage (same line as the finding, or the line directly above it):
 //
-//   ANYQOS_DETLINT_ALLOW(wall_clock, "profiler reports real throughput");
-//   attach_wall_ = std::chrono::steady_clock::now();
+//   ANYQOS_DETLINT_ALLOW(wall_clock, "events/s in /healthz is wall-clock by definition");
+//   const auto now = std::chrono::steady_clock::now();
 //
 // Rule identifiers (underscored forms of the detlint rule ids):
 //   global_state                  mutable global / function-static state
