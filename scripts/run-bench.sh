@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Kernel microbench snapshot: runs the google-benchmark micro_engine suite
-# plus its attached-telemetry pair and folds both into a single
-# BENCH_engine.json (schema anyqos-bench-engine/1), the input of
+# plus nine repetitions of its attached-telemetry pair and folds both into a
+# single BENCH_engine.json (schema anyqos-bench-engine/1), the input of
 # compare-bench.py's attached-overhead gate.
 #
 #   scripts/run-bench.sh [--allow-debug] [BUILD_DIR] [OUT]
@@ -52,18 +52,18 @@ echo "== micro_engine (google-benchmark, short run) ==" >&2
          --benchmark_filter='-BM_SimulatedSecond' \
          --benchmark_format=json >"$workdir/micro.json"
 
-# The attached-overhead gate pair is a same-process *ratio*, so it gets a
-# longer, repeated, randomly interleaved measurement: compare-bench.py
-# takes the best of the repetitions, making the <=5% budget robust to a
-# couple of preempted reps (scheduler noise is strictly additive).
-echo "== micro_engine (kernel-telemetry overhead pair, interleaved) ==" >&2
-"$MICRO" --benchmark_min_time=0.5 --benchmark_repetitions=5 \
-         --benchmark_enable_random_interleaving=true \
-         --benchmark_filter='BM_SimulatedSecond' \
+# The attached-overhead gate: BM_SimulatedSecondKernelStats alternates a
+# detached and an attached simulation run by run inside each repetition, so
+# both sides of a repetition's ratio share the same host contention.
+# compare-bench.py gates on the median of the per-repetition ratios, which a
+# few contended repetitions cannot move.
+echo "== micro_engine (kernel-telemetry overhead pair, 9 repetitions) ==" >&2
+"$MICRO" --benchmark_min_time=0.5 --benchmark_repetitions=9 \
+         --benchmark_filter='^BM_SimulatedSecondKernelStats$' \
          --benchmark_format=json >"$workdir/pair.json"
 
-# Merge the pair's benchmark entries into the short run and wrap the result
-# as the record.
+# Merge the pair's repetitions into the short run and wrap the result as the
+# record.
 python3 - "$workdir/micro.json" "$workdir/pair.json" "$OUT" <<'EOF'
 import json, sys
 micro_path, pair_path, out_path = sys.argv[1:4]

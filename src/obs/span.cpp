@@ -1,27 +1,11 @@
 #include "src/obs/span.h"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "src/util/require.h"
 #include "src/util/strings.h"
 
 namespace anyqos::obs {
-
-namespace {
-
-void write_number(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "null";
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out << buffer;
-}
-
-}  // namespace
 
 std::vector<AttemptSpan> MemorySpanSink::attempts_for(std::uint64_t request_id) const {
   std::vector<AttemptSpan> children;
@@ -38,48 +22,89 @@ void MemorySpanSink::clear() {
   decisions_.clear();
 }
 
+void append_jsonl(std::string& out, const AttemptSpan& span) {
+  out += "{\"span\":\"attempt\",\"request\":";
+  util::append_decimal(out, span.request_id);
+  out += ",\"id\":";
+  util::append_decimal(out, span.span_id);
+  out += ",\"attempt\":";
+  util::append_decimal(out, span.attempt_number);
+  out += ",\"time\":";
+  util::append_json_number(out, span.time);
+  out += ",\"member\":";
+  util::append_decimal(out, span.member_index);
+  out += ",\"node\":";
+  util::append_decimal(out, span.member_node);
+  out += ",\"weights\":[";
+  for (std::size_t i = 0; i < span.weights.size(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    util::append_json_number(out, span.weights[i]);
+  }
+  out += "],\"hops\":";
+  util::append_decimal(out, span.route_hops);
+  out += ",\"bottleneck_bps\":";
+  util::append_json_number(out, span.bottleneck_bps);
+  out += ",\"admitted\":";
+  out += span.admitted ? "true" : "false";
+  out += ",\"blocking_link\":";
+  if (span.blocking_link.has_value()) {
+    util::append_decimal(out, *span.blocking_link);
+  } else {
+    out += "null";
+  }
+  out += ",\"messages\":";
+  util::append_decimal(out, span.messages);
+  out += ",\"retransmits\":";
+  util::append_decimal(out, span.retransmits);
+  out += ",\"retries_remaining\":";
+  util::append_decimal(out, span.retries_remaining);
+  out += "}\n";
+}
+
+void append_jsonl(std::string& out, const DecisionSpan& span) {
+  out += "{\"span\":\"decision\",\"request\":";
+  util::append_decimal(out, span.request_id);
+  out += ",\"time\":";
+  util::append_json_number(out, span.start_time);
+  out += ",\"source\":";
+  util::append_decimal(out, span.source);
+  out += ",\"bandwidth_bps\":";
+  util::append_json_number(out, span.bandwidth_bps);
+  out += ",\"algorithm\":\"";
+  util::append_json_escaped(out, span.algorithm);
+  out += "\",\"admitted\":";
+  out += span.admitted ? "true" : "false";
+  out += ",\"destination\":";
+  if (span.destination_index.has_value()) {
+    util::append_decimal(out, *span.destination_index);
+  } else {
+    out += "null";
+  }
+  out += ",\"attempts\":";
+  util::append_decimal(out, span.attempts);
+  out += ",\"messages\":";
+  util::append_decimal(out, span.messages);
+  out += ",\"max_attempts\":";
+  util::append_decimal(out, span.max_attempts);
+  out += ",\"group_size\":";
+  util::append_decimal(out, span.group_size);
+  out += "}\n";
+}
+
 JsonlSpanSink::JsonlSpanSink(std::ostream& out) : out_(&out) {}
 
 void JsonlSpanSink::on_attempt(const AttemptSpan& span) {
-  *out_ << "{\"span\":\"attempt\",\"request\":" << span.request_id
-        << ",\"id\":" << span.span_id << ",\"attempt\":" << span.attempt_number
-        << ",\"time\":";
-  write_number(*out_, span.time);
-  *out_ << ",\"member\":" << span.member_index << ",\"node\":" << span.member_node
-        << ",\"weights\":[";
-  for (std::size_t i = 0; i < span.weights.size(); ++i) {
-    if (i > 0) {
-      *out_ << ',';
-    }
-    write_number(*out_, span.weights[i]);
-  }
-  *out_ << "],\"hops\":" << span.route_hops << ",\"bottleneck_bps\":";
-  write_number(*out_, span.bottleneck_bps);
-  *out_ << ",\"admitted\":" << (span.admitted ? "true" : "false") << ",\"blocking_link\":";
-  if (span.blocking_link.has_value()) {
-    *out_ << *span.blocking_link;
-  } else {
-    *out_ << "null";
-  }
-  *out_ << ",\"messages\":" << span.messages << ",\"retransmits\":" << span.retransmits
-        << ",\"retries_remaining\":" << span.retries_remaining << "}\n";
+  line_.clear();
+  append_jsonl(line_, span);
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void JsonlSpanSink::on_decision(const DecisionSpan& span) {
-  *out_ << "{\"span\":\"decision\",\"request\":" << span.request_id << ",\"time\":";
-  write_number(*out_, span.start_time);
-  *out_ << ",\"source\":" << span.source << ",\"bandwidth_bps\":";
-  write_number(*out_, span.bandwidth_bps);
-  *out_ << ",\"algorithm\":\"" << util::json_escape(span.algorithm)
-        << "\",\"admitted\":" << (span.admitted ? "true" : "false") << ",\"destination\":";
-  if (span.destination_index.has_value()) {
-    *out_ << *span.destination_index;
-  } else {
-    *out_ << "null";
-  }
-  *out_ << ",\"attempts\":" << span.attempts << ",\"messages\":" << span.messages
-        << ",\"max_attempts\":" << span.max_attempts << ",\"group_size\":" << span.group_size
-        << "}\n";
+  line_.clear();
+  append_jsonl(line_, span);
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void DecisionTracer::begin_request(std::uint64_t request_id, net::NodeId source,

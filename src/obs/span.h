@@ -89,8 +89,13 @@ class MemorySpanSink final : public SpanSink {
   std::vector<DecisionSpan> decisions_;
 };
 
-/// Streams spans as JSONL: one JSON object per span per line, tagged
-/// {"span":"attempt"|"decision",...}. `out` must outlive the sink.
+/// Appends `span`'s JSONL line, newline included: one JSON object tagged
+/// {"span":"attempt",...} or {"span":"decision",...}.
+void append_jsonl(std::string& out, const AttemptSpan& span);
+void append_jsonl(std::string& out, const DecisionSpan& span);
+
+/// Streams spans as JSONL, one append_jsonl line per span. `out` must
+/// outlive the sink.
 class JsonlSpanSink final : public SpanSink {
  public:
   explicit JsonlSpanSink(std::ostream& out);
@@ -100,6 +105,7 @@ class JsonlSpanSink final : public SpanSink {
 
  private:
   std::ostream* out_;
+  std::string line_;  // reused across spans
 };
 
 /// The glue between AdmissionController and a SpanSink: assembles spans

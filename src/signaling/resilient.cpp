@@ -9,6 +9,10 @@
 
 namespace anyqos::signaling {
 
+std::string_view to_string(RecoveryKind kind) {
+  return kind == RecoveryKind::kOrphanExpiry ? "orphan_expiry" : "retransmit_exhaustion";
+}
+
 ResilientReservationProtocol::ResilientReservationProtocol(
     net::BandwidthLedger& ledger, MessageCounter& counter, des::Simulator& simulator,
     des::RandomStream& rng, ResilienceOptions options)
@@ -145,13 +149,12 @@ ReservationResult ResilientReservationProtocol::reserve(const net::Path& route,
   }
   ++stats_.give_ups;
   if (recovery_hook_ != nullptr) {
-    std::string detail = "dst=";
-    detail += std::to_string(route.destination);
-    detail += " hops=";
-    detail += std::to_string(route.links.size());
-    detail += " retransmits=";
-    detail += std::to_string(result.retransmits);
-    recovery_hook_(simulator_->now(), "retransmit_exhaustion", detail);
+    RecoveryEvent event;
+    event.kind = RecoveryKind::kRetransmitExhaustion;
+    event.destination = route.destination;
+    event.hops = route.links.size();
+    event.retransmits = result.retransmits;
+    recovery_hook_(simulator_->now(), event);
   }
   result.messages = charged;
   pending_wait_s_ += plane_.delay_injected_s() - delay_before;
@@ -199,13 +202,12 @@ void ResilientReservationProtocol::reclaim_orphan(std::uint64_t id, bool expired
   ++stats_.orphans_reclaimed;
   stats_.orphaned_bandwidth_reclaimed_bps += it->second.bandwidth;
   if (expired && recovery_hook_ != nullptr) {
-    std::string detail = "dst=";
-    detail += std::to_string(it->second.route.destination);
-    detail += " hops=";
-    detail += std::to_string(it->second.route.links.size());
-    detail += " bw_bps=";
-    detail += std::to_string(static_cast<std::uint64_t>(it->second.bandwidth));
-    recovery_hook_(simulator_->now(), "orphan_expiry", detail);
+    RecoveryEvent event;
+    event.kind = RecoveryKind::kOrphanExpiry;
+    event.destination = it->second.route.destination;
+    event.hops = it->second.route.links.size();
+    event.bandwidth_bps = it->second.bandwidth;
+    recovery_hook_(simulator_->now(), event);
   }
   orphans_.erase(it);
 }

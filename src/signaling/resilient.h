@@ -73,6 +73,24 @@ struct ResilienceStats {
   std::uint64_t hops_counted = 0;
 };
 
+/// The two diagnosable give-up moments of the recovery machinery.
+enum class RecoveryKind : std::uint8_t {
+  kRetransmitExhaustion,  ///< a reservation abandoned with its retransmit budget spent
+  kOrphanExpiry,          ///< a soft-state timer reclaimed an orphaned reservation
+};
+
+/// "retransmit_exhaustion" or "orphan_expiry".
+std::string_view to_string(RecoveryKind kind);
+
+/// One give-up moment as raw fields: the recovery hook's payload.
+struct RecoveryEvent {
+  RecoveryKind kind = RecoveryKind::kRetransmitExhaustion;
+  net::NodeId destination = net::kInvalidNode;  ///< the route's destination
+  std::size_t hops = 0;                         ///< the route's length
+  std::uint64_t retransmits = 0;                ///< kRetransmitExhaustion only
+  net::Bandwidth bandwidth_bps = 0.0;           ///< kOrphanExpiry only
+};
+
 /// ReservationProtocol with fault injection and timeout/retransmission
 /// recovery. Drop-in for the base class anywhere a ReservationProtocol& is
 /// taken (AdmissionController, CentralizedController, Simulation).
@@ -102,14 +120,11 @@ class ResilientReservationProtocol final : public ReservationProtocol {
   std::size_t reclaim_pending();
 
   /// Observer for the two diagnosable give-up moments of the recovery
-  /// machinery: `kind` is "retransmit_exhaustion" (a reservation abandoned
-  /// with its retransmit budget spent) or "orphan_expiry" (a soft-state
-  /// timer reclaimed an orphaned reservation). Cancelled-timer reclaims
-  /// (link failing, reclaim_pending) are repairs, not expiries, and do not
-  /// fire the hook. The simulation wires this to the flight recorder so
-  /// both moments trigger a causal snapshot. nullptr detaches.
-  using RecoveryHook =
-      std::function<void(double time, std::string_view kind, const std::string& detail)>;
+  /// machinery (see RecoveryEvent). Cancelled-timer reclaims (link
+  /// failing, reclaim_pending) are repairs, not expiries, and do not fire
+  /// the hook. The simulation wires this to the flight recorder so both
+  /// moments trigger a causal snapshot. nullptr detaches.
+  using RecoveryHook = std::function<void(double time, const RecoveryEvent& event)>;
   void set_recovery_hook(RecoveryHook hook) { recovery_hook_ = std::move(hook); }
 
   /// Recovery tallies so far (loss counts folded in from the FaultPlane).

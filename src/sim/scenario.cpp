@@ -21,6 +21,17 @@ using util::JsonValue;
   throw std::invalid_argument("scenario: " + std::string(where) + ": " + what);
 }
 
+/// Fails with `"key" problem`. Built by appending: GCC 12 misreports the
+/// equivalent operator+ chain as overlapping memcpy (-Wrestrict, GCC bug 105329).
+[[noreturn]] void fail_key(std::string_view where, std::string_view key,
+                           std::string_view problem) {
+  std::string what = "\"";
+  what += key;
+  what += "\" ";
+  what += problem;
+  fail(where, what);
+}
+
 /// Typo safety for repro files: every object's keys must come from its
 /// schema — a misspelled knob silently falling back to a default would make
 /// a committed repro lie about what it reproduces.
@@ -47,7 +58,7 @@ double get_number(const JsonValue& object, std::string_view where, std::string_v
     return fallback;
   }
   if (!value->is_number()) {
-    fail(where, "\"" + std::string(key) + "\" must be a number");
+    fail_key(where, key, "must be a number");
   }
   return value->as_number();
 }
@@ -60,7 +71,7 @@ std::uint64_t get_uint(const JsonValue& object, std::string_view where, std::str
   }
   if (!value->is_number() || value->as_number() < 0.0 ||
       value->as_number() != std::floor(value->as_number())) {
-    fail(where, "\"" + std::string(key) + "\" must be a non-negative integer");
+    fail_key(where, key, "must be a non-negative integer");
   }
   return static_cast<std::uint64_t>(value->as_number());
 }
@@ -72,7 +83,7 @@ bool get_bool(const JsonValue& object, std::string_view where, std::string_view 
     return fallback;
   }
   if (!value->is_bool()) {
-    fail(where, "\"" + std::string(key) + "\" must be a boolean");
+    fail_key(where, key, "must be a boolean");
   }
   return value->as_bool();
 }
@@ -84,7 +95,7 @@ std::string get_string(const JsonValue& object, std::string_view where, std::str
     return fallback;
   }
   if (!value->is_string()) {
-    fail(where, "\"" + std::string(key) + "\" must be a string");
+    fail_key(where, key, "must be a string");
   }
   return value->as_string();
 }
@@ -97,12 +108,12 @@ std::vector<net::NodeId> get_nodes(const JsonValue& object, std::string_view whe
     return nodes;
   }
   if (!value->is_array()) {
-    fail(where, "\"" + std::string(key) + "\" must be an array of node ids");
+    fail_key(where, key, "must be an array of node ids");
   }
   for (const JsonValue& element : value->as_array()) {
     if (!element.is_number() || element.as_number() < 0.0 ||
         element.as_number() != std::floor(element.as_number())) {
-      fail(where, "\"" + std::string(key) + "\" entries must be non-negative integers");
+      fail_key(where, key, "entries must be non-negative integers");
     }
     nodes.push_back(static_cast<net::NodeId>(element.as_number()));
   }

@@ -133,14 +133,21 @@ Simulation::Simulation(const net::Topology& topology, SimulationConfig config)
     // Satellite triggers from the recovery machinery: a retransmit-budget
     // give-up or a soft-state orphan expiry lands in the ring as a note and
     // dumps the causal window that led up to it.
-    resilient_->set_recovery_hook(
-        [this](double time, std::string_view kind, const std::string& detail) {
-          flight_->note(time, kind, detail);
-          std::string reason(kind);
-          reason += ' ';
-          reason += detail;
-          flight_->trigger(time, reason);
-        });
+    resilient_->set_recovery_hook([this](double time, const signaling::RecoveryEvent& event) {
+      const std::string_view kind = signaling::to_string(event.kind);
+      const obs::NoteField fields[] = {
+          obs::NoteField::number("dst", event.destination),
+          obs::NoteField::number("hops", event.hops),
+          event.kind == signaling::RecoveryKind::kOrphanExpiry
+              ? obs::NoteField::number("bw_bps", static_cast<std::uint64_t>(event.bandwidth_bps))
+              : obs::NoteField::number("retransmits", event.retransmits)};
+      flight_->note(time, kind, fields);
+      flight_->trigger(time, [&](std::string& reason) {
+        reason += kind;
+        reason += ' ';
+        obs::append_note_detail(reason, fields);
+      });
+    });
   }
   if (config_.use_gdi) {
     oracle_ = std::make_unique<core::GlobalAdmissionOracle>(topology, ledger_, group_);
@@ -227,23 +234,13 @@ void Simulation::emit_trace(TraceEventKind kind, std::uint64_t flow, net::NodeId
     config_.trace->record(event);
   }
   if (flight_ != nullptr) {
-    std::string detail = "flow=";
-    detail += std::to_string(event.flow);
-    detail += " src=";
-    detail += std::to_string(event.source);
-    detail += " dst=";
-    if (event.destination == net::kInvalidNode) {
-      detail += '-';
-    } else {
-      detail += std::to_string(event.destination);
-    }
-    detail += " attempts=";
-    detail += std::to_string(event.attempts);
-    detail += " bw_bps=";
-    detail += util::format_fixed(event.bandwidth_bps, 0);
-    detail += " active=";
-    detail += std::to_string(event.active_flows);
-    flight_->note(event.time, to_string(kind), detail);
+    const obs::NoteField fields[] = {obs::NoteField::number("flow", event.flow),
+                                     obs::NoteField::number("src", event.source),
+                                     obs::NoteField::node("dst", event.destination),
+                                     obs::NoteField::number("attempts", event.attempts),
+                                     obs::NoteField::rounded("bw_bps", event.bandwidth_bps),
+                                     obs::NoteField::number("active", event.active_flows)};
+    flight_->note(event.time, to_string(kind), fields);
   }
 }
 
@@ -771,11 +768,12 @@ void Simulation::apply_fault(const LinkFault& fault) {
   }
   if (flight_ != nullptr) {
     // Dump after the drops so the snapshot carries the victims' final events.
-    std::string reason = "link_fault ";
-    reason += std::to_string(fault.a);
-    reason += "->";
-    reason += std::to_string(fault.b);
-    flight_->trigger(simulator_.now(), reason);
+    flight_->trigger(simulator_.now(), [&](std::string& reason) {
+      reason += "link_fault ";
+      reason += std::to_string(fault.a);
+      reason += "->";
+      reason += std::to_string(fault.b);
+    });
   }
 }
 
@@ -837,9 +835,10 @@ void Simulation::apply_node_down(const NodeFault& fault) {
   if (flight_ != nullptr) {
     // After the teardown/failover cascade: the snapshot carries every
     // victim's final events and any re-admission spans.
-    std::string reason = "node_crash node=";
-    reason += std::to_string(fault.node);
-    flight_->trigger(simulator_.now(), reason);
+    flight_->trigger(simulator_.now(), [&](std::string& reason) {
+      reason += "node_crash node=";
+      reason += std::to_string(fault.node);
+    });
   }
 }
 
@@ -986,11 +985,12 @@ void Simulation::apply_member_down(std::size_t member) {
   if (flight_ != nullptr) {
     // After the teardown/failover loop: the snapshot includes every displaced
     // flow's drop (and any failover re-admission spans) as its final entries.
-    std::string reason = "member_churn member=";
-    reason += std::to_string(member);
-    reason += " node=";
-    reason += std::to_string(group_.member(member));
-    flight_->trigger(simulator_.now(), reason);
+    flight_->trigger(simulator_.now(), [&](std::string& reason) {
+      reason += "member_churn member=";
+      reason += std::to_string(member);
+      reason += " node=";
+      reason += std::to_string(group_.member(member));
+    });
   }
 }
 

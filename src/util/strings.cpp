@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace anyqos::util {
@@ -80,6 +81,11 @@ std::string format_fixed(double value, int digits) {
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
+  append_json_escaped(out, text);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '\\':
@@ -114,7 +120,23 @@ std::string json_escape(std::string_view text) {
         break;
     }
   }
-  return out;
+}
+
+void append_decimal(std::string& out, std::uint64_t value) {
+  char buffer[24];
+  const auto [end, error] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  (void)error;  // 24 bytes hold every 64-bit value
+  out.append(buffer, end);
+}
+
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buffer[64];
+  const int length = std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  out.append(buffer, static_cast<std::size_t>(length));
 }
 
 }  // namespace anyqos::util

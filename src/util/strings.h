@@ -1,6 +1,7 @@
 // Small string helpers used by CLI parsing and report formatting.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,5 +34,15 @@ std::string format_fixed(double value, int digits);
 /// Escapes `text` for embedding inside a JSON string literal: backslash,
 /// double quote, and control characters (\b \f \n \r \t, \u00XX otherwise).
 std::string json_escape(std::string_view text);
+
+/// Appends json_escape(text) to `out`.
+void append_json_escaped(std::string& out, std::string_view text);
+
+/// Appends `value` in decimal, as `std::ostream << value` writes it.
+void append_decimal(std::string& out, std::uint64_t value);
+
+/// Appends `value` as a JSON number: printf "%.17g" (exact round trip), or
+/// `null` when it is not finite.
+void append_json_number(std::string& out, double value);
 
 }  // namespace anyqos::util
