@@ -49,7 +49,6 @@
 #include "src/net/distance_vector.h"
 #include "src/net/graph.h"
 #include "src/net/link_state.h"
-#include "src/net/metrics.h"
 #include "src/net/multipath.h"
 #include "src/net/reconvergence.h"
 #include "src/net/routing.h"

@@ -60,12 +60,9 @@ ChaosOracle::ChaosOracle(const sim::Scenario& scenario, const ChaosOracleOptions
   config.flight_recorder = &recorder_;
 }
 
-ChaosOracleOutcome ChaosOracle::judge() {
-  ChaosOracleOutcome outcome;
-
-  // Phase 1: build the simulation from the lowered (and attached) config.
+const std::string& ChaosOracle::build() {
   // A construction failure is still the scenario's fault.
-  if (rejected_.empty()) {
+  if (rejected_.empty() && simulation_ == nullptr) {
     try {
       simulation_ = std::make_unique<sim::Simulation>(run_->topology, run_->config);
       auditor_.attach(*simulation_);
@@ -74,7 +71,14 @@ ChaosOracleOutcome ChaosOracle::judge() {
       rejected_ = error.what();
     }
   }
-  if (!rejected_.empty()) {
+  return rejected_;
+}
+
+ChaosOracleOutcome ChaosOracle::judge() {
+  ChaosOracleOutcome outcome;
+
+  // Phase 1: build the simulation from the lowered (and attached) config.
+  if (!build().empty()) {
     outcome.violation_class = "invalid:" + rejected_;
     outcome.detail = "scenario rejected before run";
     return outcome;

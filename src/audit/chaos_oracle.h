@@ -87,8 +87,12 @@ class ChaosOracle {
 
   /// The lowered run; nullptr when lowering rejected the scenario.
   [[nodiscard]] sim::ScenarioRun* run() { return run_.get(); }
-  /// Builds the simulation from run()->config, runs it and classifies the
-  /// outcome. Call once. Deterministic: equal scenarios and attachments
+  /// Builds the simulation from run()->config without running it; returns
+  /// why the scenario was rejected ("" when it lowered and built). Calling
+  /// it alone checks a scenario; attach before it.
+  const std::string& build();
+  /// Builds (unless build() already did), runs and classifies the outcome.
+  /// Call once. Deterministic: equal scenarios and attachments
   /// produce byte-equal outcomes.
   ChaosOracleOutcome judge();
 

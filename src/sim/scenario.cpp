@@ -4,6 +4,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "src/core/selector.h"
@@ -32,11 +33,22 @@ using util::JsonValue;
   fail(where, what);
 }
 
+/// Fails with `"key" problem` unless `ok`: the loader's domain rules.
+void check_key(bool ok, std::string_view where, std::string_view key,
+               std::string_view problem) {
+  if (!ok) {
+    fail_key(where, key, problem);
+  }
+}
+
 /// Typo safety for repro files: every object's keys must come from its
 /// schema — a misspelled knob silently falling back to a default would make
 /// a committed repro lie about what it reproduces.
 void check_keys(const JsonValue& object, std::string_view where,
                 std::initializer_list<std::string_view> allowed) {
+  if (!object.is_object()) {
+    fail(where, "must be an object");
+  }
   for (const auto& [key, value] : object.as_object()) {
     bool known = false;
     for (const std::string_view candidate : allowed) {
@@ -49,6 +61,13 @@ void check_keys(const JsonValue& object, std::string_view where,
       fail(where, "unknown key \"" + key + "\"");
     }
   }
+}
+
+const util::JsonArray& get_array(const JsonValue& value, std::string_view where) {
+  if (!value.is_array()) {
+    fail(where, "must be an array");
+  }
+  return value.as_array();
 }
 
 double get_number(const JsonValue& object, std::string_view where, std::string_view key,
@@ -118,6 +137,20 @@ std::vector<net::NodeId> get_nodes(const JsonValue& object, std::string_view whe
     nodes.push_back(static_cast<net::NodeId>(element.as_number()));
   }
   return nodes;
+}
+
+/// Reads a fault window: `end_key` must follow a non-negative `start_key`.
+std::pair<double, double> get_window(const JsonValue& object, std::string_view where,
+                                     std::string_view start_key, std::string_view end_key) {
+  const double start = get_number(object, where, start_key, 0.0);
+  const double end = get_number(object, where, end_key, 0.0);
+  if (!(end > start) || start < 0.0) {
+    std::string what(end_key);  // append form: GCC 12 -Wrestrict
+    what += " must follow a non-negative ";
+    what += start_key;
+    fail(where, what);
+  }
+  return {start, end};
 }
 
 JsonValue nodes_to_json(const std::vector<net::NodeId>& nodes) {
@@ -320,9 +353,6 @@ util::JsonValue scenario_to_json(const Scenario& scenario) {
 }
 
 Scenario scenario_from_json(const util::JsonValue& document) {
-  if (!document.is_object()) {
-    fail("document", "top level must be an object");
-  }
   check_keys(document, "document",
              {"schema", "name", "topology", "seed", "workload", "system", "run",
               "resilience", "reconvergence", "governor", "axes", "link_faults", "churn",
@@ -335,6 +365,7 @@ Scenario scenario_from_json(const util::JsonValue& document) {
 
   Scenario scenario;
   scenario.name = get_string(document, "document", "name", scenario.name);
+  check_key(!scenario.name.empty(), "document", "name", "must be non-empty");
   scenario.topology = get_string(document, "document", "topology", scenario.topology);
   scenario.seed = get_uint(document, "document", "seed", scenario.seed);
 
@@ -356,6 +387,8 @@ Scenario scenario_from_json(const util::JsonValue& document) {
     scenario.max_tries = static_cast<std::size_t>(
         get_uint(*system, "system", "max_tries", scenario.max_tries));
     scenario.alpha = get_number(*system, "system", "alpha", scenario.alpha);
+    check_key(scenario.alpha >= 0.0 && scenario.alpha <= 1.0, "system", "alpha",
+              "must be in [0,1]");
     scenario.anycast_share =
         get_number(*system, "system", "anycast_share", scenario.anycast_share);
     scenario.group = get_nodes(*system, "system", "group");
@@ -389,6 +422,8 @@ Scenario scenario_from_json(const util::JsonValue& document) {
         get_number(*block, "resilience", "retransmit_timeout_s", r.retransmit_timeout_s);
     r.backoff_factor = get_number(*block, "resilience", "backoff_factor", r.backoff_factor);
     r.backoff_jitter = get_number(*block, "resilience", "backoff_jitter", r.backoff_jitter);
+    check_key(r.backoff_jitter >= 0.0 && r.backoff_jitter <= 1.0, "resilience",
+              "backoff_jitter", "must be in [0,1]");
     r.max_retransmits = static_cast<std::size_t>(
         get_uint(*block, "resilience", "max_retransmits", r.max_retransmits));
     r.orphan_hold_s = get_number(*block, "resilience", "orphan_hold_s", r.orphan_hold_s);
@@ -399,6 +434,7 @@ Scenario scenario_from_json(const util::JsonValue& document) {
     ScenarioReconvergence r;
     r.policy = get_string(*block, "reconvergence", "policy", r.policy);
     r.param_s = get_number(*block, "reconvergence", "param_s", r.param_s);
+    check_key(r.param_s >= 0.0, "reconvergence", "param_s", "must be non-negative");
     if (r.policy != "instant" && r.policy != "fixed" && r.policy != "flooding") {
       fail("reconvergence", "policy must be instant, fixed, or flooding");
     }
@@ -428,47 +464,58 @@ Scenario scenario_from_json(const util::JsonValue& document) {
     check_keys(*block, "axes",
                {"link_rate", "link_mean_repair_s", "churn_rate", "churn_mean_down_s",
                 "node_rate", "node_mean_repair_s"});
-    scenario.axes.link_rate = get_number(*block, "axes", "link_rate", 0.0);
-    scenario.axes.link_mean_repair_s =
-        get_number(*block, "axes", "link_mean_repair_s", scenario.axes.link_mean_repair_s);
-    scenario.axes.churn_rate = get_number(*block, "axes", "churn_rate", 0.0);
-    scenario.axes.churn_mean_down_s =
-        get_number(*block, "axes", "churn_mean_down_s", scenario.axes.churn_mean_down_s);
-    scenario.axes.node_rate = get_number(*block, "axes", "node_rate", 0.0);
-    scenario.axes.node_mean_repair_s =
-        get_number(*block, "axes", "node_mean_repair_s", scenario.axes.node_mean_repair_s);
+    // Every mean is checked, also one whose rate is 0: the file must not
+    // carry a value that would be rejected once the rate is raised.
+    const auto rate = [&](std::string_view key) {
+      const double value = get_number(*block, "axes", key, 0.0);
+      check_key(value >= 0.0, "axes", key, "must be non-negative");
+      return value;
+    };
+    const auto mean = [&](std::string_view key, double fallback) {
+      const double value = get_number(*block, "axes", key, fallback);
+      check_key(value > 0.0, "axes", key, "must be positive");
+      return value;
+    };
+    FaultAxes& axes = scenario.axes;
+    axes.link_rate = rate("link_rate");
+    axes.link_mean_repair_s = mean("link_mean_repair_s", axes.link_mean_repair_s);
+    axes.churn_rate = rate("churn_rate");
+    axes.churn_mean_down_s = mean("churn_mean_down_s", axes.churn_mean_down_s);
+    axes.node_rate = rate("node_rate");
+    axes.node_mean_repair_s = mean("node_mean_repair_s", axes.node_mean_repair_s);
   }
 
   if (const JsonValue* array = document.find("link_faults"); array != nullptr) {
-    for (const JsonValue& element : array->as_array()) {
+    for (const JsonValue& element : get_array(*array, "link_faults")) {
       check_keys(element, "link_faults", {"a", "b", "fail_at", "repair_at"});
+      const auto [fail_at, repair_at] =
+          get_window(element, "link_faults", "fail_at", "repair_at");
       scenario.link_faults.push_back(single_fault(
           static_cast<net::NodeId>(get_uint(element, "link_faults", "a", 0)),
-          static_cast<net::NodeId>(get_uint(element, "link_faults", "b", 0)),
-          get_number(element, "link_faults", "fail_at", 0.0),
-          get_number(element, "link_faults", "repair_at", 0.0)));
+          static_cast<net::NodeId>(get_uint(element, "link_faults", "b", 0)), fail_at,
+          repair_at));
     }
   }
   if (const JsonValue* array = document.find("churn"); array != nullptr) {
-    for (const JsonValue& element : array->as_array()) {
+    for (const JsonValue& element : get_array(*array, "churn")) {
       check_keys(element, "churn", {"member", "down_at", "up_at"});
+      const auto [down_at, up_at] = get_window(element, "churn", "down_at", "up_at");
       scenario.churn.push_back(single_churn(
-          static_cast<std::size_t>(get_uint(element, "churn", "member", 0)),
-          get_number(element, "churn", "down_at", 0.0),
-          get_number(element, "churn", "up_at", 0.0)));
+          static_cast<std::size_t>(get_uint(element, "churn", "member", 0)), down_at, up_at));
     }
   }
   if (const JsonValue* array = document.find("node_faults"); array != nullptr) {
-    for (const JsonValue& element : array->as_array()) {
+    for (const JsonValue& element : get_array(*array, "node_faults")) {
       check_keys(element, "node_faults", {"node", "fail_at", "repair_at"});
+      const auto [fail_at, repair_at] =
+          get_window(element, "node_faults", "fail_at", "repair_at");
       scenario.node_faults.push_back(single_node_fault(
-          static_cast<net::NodeId>(get_uint(element, "node_faults", "node", 0)),
-          get_number(element, "node_faults", "fail_at", 0.0),
-          get_number(element, "node_faults", "repair_at", 0.0)));
+          static_cast<net::NodeId>(get_uint(element, "node_faults", "node", 0)), fail_at,
+          repair_at));
     }
   }
   if (const JsonValue* array = document.find("regional_outages"); array != nullptr) {
-    for (const JsonValue& element : array->as_array()) {
+    for (const JsonValue& element : get_array(*array, "regional_outages")) {
       check_keys(element, "regional_outages",
                  {"epicenter", "radius_hops", "fail_at", "repair_at"});
       RegionalOutageSpec outage;
@@ -476,20 +523,18 @@ Scenario scenario_from_json(const util::JsonValue& document) {
           static_cast<net::NodeId>(get_uint(element, "regional_outages", "epicenter", 0));
       outage.radius_hops = static_cast<std::size_t>(
           get_uint(element, "regional_outages", "radius_hops", 0));
-      outage.fail_at = get_number(element, "regional_outages", "fail_at", 0.0);
-      outage.repair_at = get_number(element, "regional_outages", "repair_at", 0.0);
-      if (!(outage.repair_at > outage.fail_at) || outage.fail_at < 0.0) {
-        fail("regional_outages", "repair_at must follow a non-negative fail_at");
-      }
+      std::tie(outage.fail_at, outage.repair_at) =
+          get_window(element, "regional_outages", "fail_at", "repair_at");
       scenario.regional_outages.push_back(outage);
     }
   }
   if (const JsonValue* array = document.find("ops"); array != nullptr) {
     double last_t = 0.0;
-    for (const JsonValue& element : array->as_array()) {
+    for (const JsonValue& element : get_array(*array, "ops")) {
       check_keys(element, "ops", {"t", "knob", "value"});
       control::TimedDirective timed;
       timed.apply_at = get_number(element, "ops", "t", 0.0);
+      check_key(timed.apply_at >= 0.0, "ops", "t", "must be non-negative");
       if (timed.apply_at < last_t) {
         fail("ops", "directives must be sorted by t");
       }
@@ -631,7 +676,7 @@ std::unique_ptr<ScenarioRun> make_scenario_run(const Scenario& scenario) {
     config.reconvergence = run->reconvergence.get();
   }
   util::require(!scenario.path_repair || run->reconvergence != nullptr,
-                "scenario: path_repair requires a reconvergence block");
+                "path_repair requires a reconvergence block");
 
   if (scenario.governor.has_value()) {
     const ScenarioGovernor& g = *scenario.governor;
@@ -648,7 +693,7 @@ std::unique_ptr<ScenarioRun> make_scenario_run(const Scenario& scenario) {
     config.governor = run->governor.get();
   }
   util::require(scenario.ops.empty() || run->governor != nullptr,
-                "scenario: ops directives require a governor block");
+                "ops directives require a governor block");
   config.ops_replay = scenario.ops;
 
   run->config = std::move(config);

@@ -10,7 +10,13 @@
 // chaos cell, or a chaosfuzz-shrunk repro — is a committed, replayable
 // artifact. make_scenario_run is the only lowering onto SimulationConfig:
 // dacsim (its flags or --scenario), every chaossim cell, and tools/chaosfuzz
-// all go through it; scripts/check-scenario.py lints the format.
+// all go through it.
+//
+// The loader and the lowering are the one scenario validator. To check a
+// file without running it, `chaosfuzz --base=FILE --iterations=0` loads it,
+// lowers it and builds its Simulation: exit 0 when it is valid, exit 2 with
+// the rejecting message when it is not. A key missing from a file takes the
+// default written in the structs below; an unknown key is an error.
 #pragma once
 
 #include <cstdint>
@@ -142,8 +148,11 @@ net::Topology build_scenario_topology(const std::string& spec);
 /// dump(true) of the result is the canonical file format).
 util::JsonValue scenario_to_json(const Scenario& scenario);
 /// JSON document -> Scenario. Throws std::invalid_argument on a missing
-/// schema tag, unknown keys (typo safety for repro files), wrong types, or
-/// out-of-order fault windows.
+/// schema tag, unknown keys (typo safety for repro files), wrong types,
+/// out-of-order fault windows, unsorted or negative ops times, and values
+/// outside the domains the lowering does not check itself (empty name,
+/// alpha and backoff_jitter outside [0,1], negative param_s, negative axis
+/// rates, non-positive axis means).
 Scenario scenario_from_json(const util::JsonValue& document);
 
 /// Canonical file text (pretty JSON, trailing newline).

@@ -43,6 +43,7 @@ TEST(TopologyDiameter, MatchesKnownShapes) {
   EXPECT_EQ(topology_diameter(topologies::ring(6)), 3u);
   EXPECT_EQ(topology_diameter(topologies::star(5)), 2u);
   EXPECT_EQ(topology_diameter(topologies::grid(3, 3)), 4u);
+  EXPECT_EQ(topology_diameter(topologies::mci_backbone()), 5u);
 }
 
 TEST(RouteTableRecompute, AllLinksUpReproducesTheInitialTable) {

@@ -53,6 +53,21 @@ Scenario full_scenario() {
   return scenario;
 }
 
+/// `text` with its first `from` replaced by `to` must fail to load, with
+/// `needle` in the loader's message.
+void expect_rejected(std::string text, std::string_view from, std::string_view to,
+                     std::string_view needle) {
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  try {
+    (void)load_scenario(text);
+    ADD_FAILURE() << to << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos) << error.what();
+  }
+}
+
 TEST(Scenario, SaveLoadRoundTripIsByteIdentical) {
   const std::string first = save_scenario(full_scenario());
   const std::string second = save_scenario(load_scenario(first));
@@ -81,6 +96,9 @@ TEST(Scenario, RejectsMissingOrWrongSchema) {
   EXPECT_THROW(load_scenario(R"({"schema":"anyqos.scenario/999"})"),
                std::invalid_argument);
   EXPECT_THROW(load_scenario("[]"), std::invalid_argument);
+  // The header's name may not be empty either.
+  expect_rejected(save_scenario(full_scenario()), R"("name": "kitchen-sink")",
+                  R"("name": "")", R"("name" must be non-empty)");
 }
 
 TEST(Scenario, RejectsUnknownKeys) {
@@ -97,12 +115,22 @@ TEST(Scenario, RejectsUnknownKeys) {
 }
 
 TEST(Scenario, RejectsInvalidFaultWindows) {
-  std::string text = save_scenario(full_scenario());
+  const std::string full = save_scenario(full_scenario());
   // Flip the seeded link fault's window: fail after repair (40/80 -> 90/80).
-  const std::string fail_key = "\"fail_at\": 40";
-  ASSERT_NE(text.find(fail_key), std::string::npos);
-  text.replace(text.find(fail_key), fail_key.size(), "\"fail_at\": 90");
-  EXPECT_THROW(load_scenario(text), std::invalid_argument);
+  // Every entry list names the key that is out of order.
+  expect_rejected(full, R"("fail_at": 40)", R"("fail_at": 90)",
+                  "link_faults: repair_at must follow");
+  expect_rejected(full, R"("down_at": 60)", R"("down_at": 110)", "churn: up_at must follow");
+  expect_rejected(full, R"("fail_at": 150)", R"("fail_at": -1)",
+                  "node_faults: repair_at must follow a non-negative fail_at");
+  // The random axes and the retransmission jitter keep their domains, even
+  // where a zero rate never reads them.
+  expect_rejected(full, R"("churn_mean_down_s": 120)", R"("churn_mean_down_s": -1)",
+                  R"("churn_mean_down_s" must be positive)");
+  expect_rejected(full, R"("node_rate": 0)", R"("node_rate": -1)",
+                  R"("node_rate" must be non-negative)");
+  expect_rejected(full, R"("backoff_jitter": 0.10000000000000001)", R"("backoff_jitter": 2)",
+                  R"("backoff_jitter" must be in [0,1])");
 }
 
 TEST(Scenario, RejectsBadOps) {
@@ -126,6 +154,13 @@ TEST(Scenario, RejectsBadOps) {
   const std::string value = "\"value\": 2";
   zero.replace(zero.find(value), value.size(), "\"value\": 0");
   EXPECT_THROW(load_scenario(zero), std::invalid_argument);
+  // A negative time has its own message, not the sort order's.
+  expect_rejected(base, R"("t": 50)", R"("t": -5)", R"("t" must be non-negative)");
+  // A system knob outside its domain, as for the directive values: alpha is
+  // checked whatever the algorithm (ED ignores it when it runs).
+  std::string ed = base;
+  ed.replace(ed.find("WD/D+H"), 6, "ED");
+  expect_rejected(ed, R"("alpha": 0.25)", R"("alpha": 3)", R"("alpha" must be in [0,1])");
 }
 
 TEST(Scenario, RejectsBadReconvergencePolicy) {
@@ -133,6 +168,8 @@ TEST(Scenario, RejectsBadReconvergencePolicy) {
   const std::string policy = "\"policy\": \"flooding\"";
   text.replace(text.find(policy), policy.size(), "\"policy\": \"psychic\"");
   EXPECT_THROW(load_scenario(text), std::invalid_argument);
+  expect_rejected(save_scenario(full_scenario()), R"("param_s": 0.050000000000000003)", R"("param_s": -1)",
+                  R"("param_s" must be non-negative)");
 }
 
 TEST(Scenario, BuildsEveryTopologyFamily) {

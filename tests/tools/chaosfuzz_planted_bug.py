@@ -6,13 +6,14 @@ idempotency), the fuzzer must, within a CI-sized budget:
 
   1. find a violation of the planted class ("exception:link is already
      failed") and shrink it,
-  2. emit a repro scenario that scripts/check-scenario.py accepts,
+  2. emit a repro scenario that the scenario check accepts
+     (`chaosfuzz --base=REPRO --iterations=0` exits 0),
   3. replay that repro deterministically: two replays exit nonzero with
      byte-identical verdicts and flight dumps, and
   4. replay clean (exit 0) once the guard is back in place — the failure
      belongs to the planted bug, not to the scenario.
 
-Usage: chaosfuzz_planted_bug.py <chaosfuzz-binary> <check-scenario.py>
+Usage: chaosfuzz_planted_bug.py <chaosfuzz-binary>
 """
 
 import pathlib
@@ -42,11 +43,10 @@ def fail(message, *procs):
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 2:
         sys.stderr.write(__doc__)
         return 2
     chaosfuzz = sys.argv[1]
-    check_scenario = sys.argv[2]
 
     with tempfile.TemporaryDirectory(prefix="chaosfuzz-gate-") as tmp:
         prefix = str(pathlib.Path(tmp) / "cf")
@@ -72,10 +72,10 @@ def main():
         if not flight.is_file():
             fail("no flight dump written", hunt)
 
-        # 2. The repro lints clean.
-        lint = run([sys.executable, check_scenario, str(repro)])
-        if lint.returncode != 0:
-            fail("repro fails the scenario linter", lint)
+        # 2. The repro passes the scenario check.
+        check = run([chaosfuzz, "--base=" + str(repro), "--iterations=0", "--quiet"])
+        if check.returncode != 0:
+            fail("repro fails the scenario check", check)
 
         # 3. Deterministic replay: same exit, same verdict, same flight bytes.
         replays = []

@@ -7,11 +7,17 @@
 //   # replay a (possibly shrunk) repro deterministically
 //   $ ./chaosfuzz --replay=/tmp/cf-repro.json
 //
-//   # save the built-in base scenario for hand editing / linting
+//   # save the built-in base scenario for hand editing
 //   $ ./chaosfuzz --save-default=base.json
 //
-// Exit codes: 0 = clean (nothing found / replay clean), 1 = violation found
-// (repro written) or replay reproduced a violation, 2 = usage error.
+//   # check a scenario file: load, lower and build it, run nothing
+//   $ ./chaosfuzz --base=base.json --iterations=0
+//
+// The base and a replayed scenario are lowered and built through the
+// oracle before anything runs, so the loader and the lowering are the only
+// scenario validator. Exit codes: 0 = clean (nothing found / replay clean),
+// 1 = violation found (repro written) or replay reproduced a violation,
+// 2 = usage error or a bad scenario (nothing run, no artifact written).
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -26,6 +32,7 @@
 
 namespace {
 
+using anyqos::audit::ChaosOracle;
 using anyqos::audit::ChaosOracleOptions;
 using anyqos::audit::ChaosOracleOutcome;
 using anyqos::audit::run_chaos_oracle;
@@ -55,6 +62,15 @@ void write_artifacts(const std::string& prefix, const Scenario& scenario,
   if (!trace_csv.empty()) {
     write_file(prefix + "-trace.csv", trace_csv);
     std::cout << "wrote " << prefix << "-trace.csv\n";
+  }
+}
+
+/// Lowers and builds `scenario` as the oracle does, without running it. A
+/// rejection is bad input, not a finding: it throws, and main exits 2.
+void require_valid(const Scenario& scenario, const ChaosOracleOptions& options) {
+  ChaosOracle oracle(scenario, options);
+  if (const std::string& rejected = oracle.build(); !rejected.empty()) {
+    throw std::invalid_argument("scenario: " + rejected);
   }
 }
 
@@ -109,6 +125,7 @@ int run(int argc, const char* const* argv) {
 
   if (!flags.get_string("replay").empty()) {
     const Scenario scenario = load_scenario_file(flags.get_string("replay"));
+    require_valid(scenario, oracle);
     std::ostringstream trace_csv;
     anyqos::sim::CsvTraceSink trace(trace_csv);
     oracle.trace = &trace;
@@ -124,6 +141,7 @@ int run(int argc, const char* const* argv) {
   const Scenario base = flags.get_string("base").empty()
                             ? anyqos::chaosfuzz::default_base_scenario()
                             : load_scenario_file(flags.get_string("base"));
+  require_valid(base, oracle);
   anyqos::chaosfuzz::FuzzOptions options;
   options.seed = flags.get_unsigned("seed");
   options.iterations = flags.get_unsigned("iterations");
