@@ -46,6 +46,63 @@ TEST(TopologyDiameter, MatchesKnownShapes) {
   EXPECT_EQ(topology_diameter(topologies::mci_backbone()), 5u);
 }
 
+std::size_t degree(const Topology& topo, NodeId node) {
+  return topo.graph().out_arcs(node).size();
+}
+
+double average_degree(const Topology& topo) {
+  return 2.0 * static_cast<double>(topo.duplex_link_count()) /
+         static_cast<double>(topo.router_count());
+}
+
+TEST(GraphMetrics, LineDiameterAndDegrees) {
+  const Topology topo = topologies::line(5);
+  EXPECT_EQ(topology_diameter(topo), 4u);
+  EXPECT_EQ(degree(topo, 0), 1u);
+  EXPECT_EQ(degree(topo, 2), 2u);
+  EXPECT_EQ(degree(topo, 4), 1u);
+  EXPECT_DOUBLE_EQ(average_degree(topo), 2.0 * 4.0 / 5.0);
+}
+
+TEST(GraphMetrics, RingIsSymmetric) {
+  const Topology topo = topologies::ring(8);
+  EXPECT_EQ(topology_diameter(topo), 4u);
+  for (NodeId node = 0; node < topo.router_count(); ++node) {
+    EXPECT_EQ(degree(topo, node), 2u);
+  }
+  EXPECT_DOUBLE_EQ(average_degree(topo), 2.0);
+}
+
+TEST(GraphMetrics, StarHasDiameterTwo) {
+  const Topology topo = topologies::star(10);
+  EXPECT_EQ(topology_diameter(topo), 2u);
+  EXPECT_EQ(degree(topo, 0), 9u);
+}
+
+TEST(GraphMetrics, MciBackboneShape) {
+  const Topology topo = topologies::mci_backbone();
+  ASSERT_TRUE(topo.connected());
+  // 33 duplex links over 19 routers: average degree ~3.47.
+  EXPECT_NEAR(average_degree(topo), 2.0 * 33.0 / 19.0, 1e-12);
+  const std::size_t d = topology_diameter(topo);
+  EXPECT_GE(d, 4u);
+  EXPECT_LE(d, 7u);
+  double total = 0.0;
+  std::size_t pairs = 0;
+  for (NodeId source = 0; source < topo.router_count(); ++source) {
+    const auto dist = hop_distances(topo, source);
+    for (NodeId dest = 0; dest < topo.router_count(); ++dest) {
+      if (dest != source) {
+        total += static_cast<double>(dist[dest]);
+        ++pairs;
+      }
+    }
+  }
+  const double mean_distance = total / static_cast<double>(pairs);
+  EXPECT_GT(mean_distance, 1.5);
+  EXPECT_LT(mean_distance, static_cast<double>(d));
+}
+
 TEST(RouteTableRecompute, AllLinksUpReproducesTheInitialTable) {
   // The determinism cornerstone: recompute with everything in service must
   // be byte-for-byte the constructor's table (same BFS tie-break).
